@@ -28,7 +28,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -62,17 +61,17 @@ struct Fixture
         rounds = graph.numRounds();
         sim::FrameSimulator fs(7);
         sim::FrameBatch batch;
+        sim::SyndromeBlock block;
         const std::uint64_t live = ~0ULL;
         while (syndromes.size() < shots) {
             fs.sampleInto(exp.circuit, batch);
-            const std::size_t base = syndromes.size();
-            syndromes.resize(base + batch.shots());
-            sim::extractSyndromes(
-                batch, {&live, 1},
-                std::span<std::vector<std::uint32_t>>(
-                    &syndromes[base], batch.shots()));
+            sim::extractSyndromeBlock(batch, {&live, 1}, block);
+            for (std::uint64_t s = 0;
+                 s < block.shots() && syndromes.size() < shots; ++s) {
+                const auto syn = block.syndrome(s);
+                syndromes.emplace_back(syn.begin(), syn.end());
+            }
         }
-        syndromes.resize(shots);
     }
 
     static codes::Experiment
@@ -192,9 +191,8 @@ main()
                 "p = 1e-3 ===\n\n");
     // Dispatch level the sampler kernels run at while pre-sampling
     // the fixtures (decoders themselves are scalar code).
-    std::printf("cpu-dispatch: %s (compiled %s)\n\n",
-                cpuDispatchName(resolveCpuDispatch(CpuDispatch::Auto)),
-                wordBackendCompiled());
+    std::printf("cpu-dispatch: %s\n\n",
+                cpuDispatchName(resolveCpuDispatch(CpuDispatch::Auto)));
 
     std::vector<Fixture> fixtures;
     fixtures.emplace_back("memory d=3", Fixture::makeMemory(3), 512);

@@ -12,21 +12,19 @@
  * elevation of the per-round error with CNOT density at fixed d.
  *
  * Also benchmarks the frame-sampler word backends (portable 64-bit
- * vs 4-lane and 8-lane wide bit-planes, common/word.hh), the full
- * sample->extract->decode hot path (the legacy wide256 per-shot
- * pipeline vs the wide512 CSR-block pipeline — both sides with the
- * reach cache pinned off so the line measures pipeline shape, not
- * cache state — and the previous generation of that pipeline —
- * baseline codegen, scalar extraction, no memo — vs the current
- * full stack of runtime CPU dispatch, transpose extraction, decode
- * memoization, the process-global syndrome memo and the MWPM reach
- * cache; the "hotpath-speedup[...]" / "hotpath-speedup-vs-pr7[...]"
- * / "decode-memo-hit-rate[...]" / "cross-batch-memo-hit-rate[...]"
+ * vs 8-lane wide bit-planes, common/word.hh), the full
+ * sample->extract->decode hot path (the previous generation of the
+ * pipeline — baseline codegen, scalar extraction, no memo, no reach
+ * cache — vs the CSR-block pipeline with and without predecode and
+ * vs the current full stack of runtime CPU dispatch, transpose
+ * extraction, decode memoization, the process-global syndrome memo
+ * and the MWPM reach cache; the "hotpath-speedup-vs-pr7[...]" /
+ * "decode-memo-hit-rate[...]" / "cross-batch-memo-hit-rate[...]"
  * lines record the wins), the compiled-artifact cache over a
  * SweepRunner seed grid ("compile-cache-speedup[...]"), and the
- * sharded engine's thread scaling; the final
- * "parallel-efficiency@4" line is consumed by
- * scripts/perf_smoke.sh.
+ * sharded engine's thread scaling with the process-global memo
+ * cleared before every row; the final "parallel-efficiency@4" line
+ * is consumed by scripts/perf_smoke.sh.
  */
 
 #include <chrono>
@@ -55,7 +53,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 
 /**
  * Raw sampler throughput for one backend: sampleInto +
- * extractSyndromes (no decoding), the exact per-batch work the
+ * extractSyndromeBlock (no decoding), the exact per-batch work the
  * Monte-Carlo engine performs before handing shots to the decoder.
  */
 double
@@ -65,56 +63,15 @@ samplerShotsPerSec(const traq::codes::Experiment &e, unsigned lanes,
     using namespace traq;
     sim::FrameSimulator fs(1234, lanes);
     sim::FrameBatch batch;
+    sim::SyndromeBlock block;
     std::vector<std::uint64_t> live(lanes, ~0ULL);
-    std::vector<std::vector<std::uint32_t>> syndromes(64ULL * lanes);
     // Warm allocations outside the timed window.
     fs.sampleInto(e.circuit, batch);
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t done = 0;
     while (done < shots) {
         fs.sampleInto(e.circuit, batch);
-        for (auto &s : syndromes)
-            s.clear();
-        sim::extractSyndromes(batch, live, syndromes);
-        done += batch.shots();
-    }
-    return static_cast<double>(done) / secondsSince(t0);
-}
-
-/**
- * End-to-end hot-path throughput, legacy shape: the pre-refactor
- * pipeline of sampleInto + extractSyndromes into 64 * lanes
- * per-shot vectors + one virtual decode() call (with its vector
- * copy) per shot.  The reach cache is pinned off here and in
- * blockPipelineShotsPerSec: the hotpath-speedup line compares
- * pipeline *shapes*, and the default-on cache accelerates the
- * per-shot comparator enough to push the ratio under 1x on small
- * graphs — equal cache state keeps the comparison meaningful.
- */
-double
-legacyPipelineShotsPerSec(const traq::codes::Experiment &e,
-                          const traq::decoder::DecodeGraph &graph,
-                          unsigned lanes, std::uint64_t shots)
-{
-    using namespace traq;
-    sim::FrameSimulator fs(1234, lanes);
-    sim::FrameBatch batch;
-    std::vector<std::uint64_t> live(lanes, ~0ULL);
-    std::vector<std::vector<std::uint32_t>> syndromes(64ULL * lanes);
-    decoder::DecoderConfig cfg;
-    cfg.reachCache = 0;  // equal cache state on both sides
-    auto dec = decoder::makeDecoder(decoder::DecoderKind::Fallback,
-                                    graph, cfg);
-    fs.sampleInto(e.circuit, batch);  // warm allocations
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t done = 0;
-    while (done < shots) {
-        fs.sampleInto(e.circuit, batch);
-        for (auto &s : syndromes)
-            s.clear();
-        sim::extractSyndromes(batch, live, syndromes);
-        for (const auto &s : syndromes)
-            dec->decode(s);
+        sim::extractSyndromeBlock(batch, live, block);
         done += batch.shots();
     }
     return static_cast<double>(done) / secondsSince(t0);
@@ -122,9 +79,11 @@ legacyPipelineShotsPerSec(const traq::codes::Experiment &e,
 
 /**
  * End-to-end hot-path throughput, block shape: sampleInto +
- * extractSyndromeBlock (CSR, no per-shot vectors) + one
- * decodeBatch call per batch, optionally with the predecode fast
- * path peeling isolated pairs before the matcher.
+ * extractSyndromeBlock (CSR) + one decodeBatch call per batch,
+ * optionally with the predecode fast path peeling isolated pairs
+ * before the matcher.  The reach cache is pinned off, as in the
+ * previous-generation row, so these rows measure pipeline shape,
+ * not cache state.
  */
 double
 blockPipelineShotsPerSec(const traq::codes::Experiment &e,
@@ -140,7 +99,7 @@ blockPipelineShotsPerSec(const traq::codes::Experiment &e,
     std::vector<std::uint32_t> predicted(64ULL * lanes);
     decoder::DecoderConfig cfg;
     cfg.predecode = predecode ? 1 : 0;
-    cfg.reachCache = 0;  // match legacyPipelineShotsPerSec
+    cfg.reachCache = 0;  // equal cache state with the prev-gen row
     auto dec = decoder::makeDecoder(decoder::DecoderKind::Fallback,
                                     graph, cfg);
     fs.sampleInto(e.circuit, batch);  // warm allocations
@@ -290,15 +249,12 @@ main()
                 "(1 + alpha x); total error still drops with x "
                 "below threshold)\n");
 
-    // The level the kernels actually run at (cpuid / env), next to
-    // the flags the rest of the library was compiled with.
-    std::printf("\ncpu-dispatch: %s (compiled %s)\n",
-                cpuDispatchName(resolveCpuDispatch(CpuDispatch::Auto)),
-                wordBackendCompiled());
+    // The level the kernels actually run at (cpuid / env).
+    std::printf("\ncpu-dispatch: %s\n",
+                cpuDispatchName(resolveCpuDispatch(CpuDispatch::Auto)));
 
     std::printf("\n=== Sampler word backends: d=5 memory, "
-                "sample+extract (no decode), compiled=%s ===\n\n",
-                wordBackendCompiled());
+                "sample+extract (no decode) ===\n\n");
     {
         codes::SurfaceCode sc5(5);
         auto e5 = codes::buildMemory(
@@ -308,11 +264,6 @@ main()
         const double scalarRate = samplerShotsPerSec(e5, 1, shots);
         b.addRow({wordBackendName(WordBackend::Scalar64), "1",
                   fmtE(scalarRate, 2), "1.00x"});
-        const double wideRate =
-            samplerShotsPerSec(e5, kWideWordLanes, shots);
-        b.addRow({wordBackendName(WordBackend::Wide),
-                  std::to_string(kWideWordLanes), fmtE(wideRate, 2),
-                  fmtF(wideRate / scalarRate, 2) + "x"});
         const double wide512Rate =
             samplerShotsPerSec(e5, kWide512WordLanes, shots);
         b.addRow({wordBackendName(WordBackend::Wide512),
@@ -320,18 +271,15 @@ main()
                   fmtE(wide512Rate, 2),
                   fmtF(wide512Rate / scalarRate, 2) + "x"});
         b.print();
-        std::printf("\nwide-vs-scalar64 sampler speedup: %.2fx "
-                    "(target >= 2x)\n", wideRate / scalarRate);
-        std::printf("wide512-vs-scalar64 sampler speedup: %.2fx\n",
+        std::printf("\nwide512-vs-scalar64 sampler speedup: %.2fx\n",
                     wide512Rate / scalarRate);
     }
 
-    std::printf("\n=== Hot path: sample + extract + decode, legacy "
-                "wide256 per-shot pipeline vs wide512 CSR-block "
-                "pipeline (p = 1e-3) ===\n\n");
+    std::printf("\n=== Hot path: sample + extract + decode, "
+                "previous-generation pipeline vs the current stack, "
+                "wide512 (p = 1e-3) ===\n\n");
     {
-        Table h({"config", "pipeline", "lanes", "shots/s",
-                 "speedup"});
+        Table h({"config", "pipeline", "shots/s", "speedup"});
         for (int d : {3, 5}) {
             codes::SurfaceCode sc(d);
             auto e = codes::buildMemory(
@@ -341,61 +289,43 @@ main()
             const std::uint64_t shots = d == 3 ? 1 << 17 : 1 << 16;
             const std::string cfg =
                 "memory d=" + std::to_string(d);
-            const double legacy = legacyPipelineShotsPerSec(
-                e, graph, kWideWordLanes, shots);
-            h.addRow({cfg, "per-shot vectors + decode()",
-                      std::to_string(kWideWordLanes),
-                      fmtE(legacy, 2), "1.00x"});
-            const double block = blockPipelineShotsPerSec(
-                e, graph, kWide512WordLanes, shots, false);
-            h.addRow({cfg, "CSR block + decodeBatch",
-                      std::to_string(kWide512WordLanes),
-                      fmtE(block, 2),
-                      fmtF(block / legacy, 2) + "x"});
-            const double peeled = blockPipelineShotsPerSec(
-                e, graph, kWide512WordLanes, shots, true);
-            h.addRow({cfg, "CSR block + batch + predecode",
-                      std::to_string(kWide512WordLanes),
-                      fmtE(peeled, 2),
-                      fmtF(peeled / legacy, 2) + "x"});
-            // This PR's generation gap: the previous pipeline shape
-            // (baseline codegen, scalar extraction, no memo, no
-            // reach cache) vs the full current stack.
+            // The previous pipeline generation (baseline codegen,
+            // scalar extraction, no memo, no reach cache) is the
+            // reference every other row is a speedup over.
             const double prior = fullStackShotsPerSec(
                 e, graph, kWide512WordLanes, shots, true);
             h.addRow({cfg, "prev gen (baseline+scalar extract)",
-                      std::to_string(kWide512WordLanes),
-                      fmtE(prior, 2), fmtF(prior / legacy, 2) + "x"});
+                      fmtE(prior, 2), "1.00x"});
+            const double block = blockPipelineShotsPerSec(
+                e, graph, kWide512WordLanes, shots, false);
+            h.addRow({cfg, "CSR block + decodeBatch", fmtE(block, 2),
+                      fmtF(block / prior, 2) + "x"});
+            const double peeled = blockPipelineShotsPerSec(
+                e, graph, kWide512WordLanes, shots, true);
+            h.addRow({cfg, "CSR block + batch + predecode",
+                      fmtE(peeled, 2),
+                      fmtF(peeled / prior, 2) + "x"});
             double memoHitRate = 0.0;
             double crossBatchRate = 0.0;
             const double full = fullStackShotsPerSec(
                 e, graph, kWide512WordLanes, shots, false,
                 &memoHitRate, &crossBatchRate);
             h.addRow({cfg, "dispatch+transpose+memo+reach-cache",
-                      std::to_string(kWide512WordLanes),
-                      fmtE(full, 2), fmtF(full / legacy, 2) + "x"});
+                      fmtE(full, 2), fmtF(full / prior, 2) + "x"});
             // Machine-readable records of the hot-path wins (the
             // acceptance lines; scripts/perf_smoke.sh collects
-            // them).  "hotpath-speedup" keeps its historical
-            // meaning (block pipeline vs per-shot legacy, reach
-            // cache pinned off on both sides so it measures the
-            // pipeline shape; target >= 1x);
-            // "hotpath-speedup-vs-pr7" is the cross-generation gate
-            // (target >= 1.5x at d=5 on AVX2-capable hardware);
-            // "cross-batch-memo-hit-rate" is the caching-tier-1
-            // acceptance line (must be >= the per-batch
-            // "decode-memo-hit-rate" — the global tier only adds
-            // hits).
-            std::printf("hotpath-speedup[memory d=%d]: %.2fx "
-                        "(wide512 block+batch+predecode vs wide256 "
-                        "per-shot, equal cache state, %s)\n",
-                        d, peeled / legacy,
-                        cpuDispatchName(
-                            resolveCpuDispatch(CpuDispatch::Auto)));
+            // them).  "hotpath-speedup-vs-pr7" is the
+            // cross-generation gate (target >= 1.5x at d=5 on
+            // AVX2-capable hardware); "cross-batch-memo-hit-rate" is
+            // the caching-tier-1 acceptance line (must be >= the
+            // per-batch "decode-memo-hit-rate" — the global tier
+            // only adds hits).
             std::printf("hotpath-speedup-vs-pr7[memory d=%d]: "
                         "%.2fx (dispatch+transpose+memo+reach-cache "
-                        "vs baseline+scalar-extract)\n",
-                        d, full / prior);
+                        "vs baseline+scalar-extract, %s)\n",
+                        d, full / prior,
+                        cpuDispatchName(
+                            resolveCpuDispatch(CpuDispatch::Auto)));
             std::printf("decode-memo-hit-rate[memory d=%d]: %.3f\n",
                         d, memoHitRate);
             std::printf("cross-batch-memo-hit-rate[memory d=%d]: "
@@ -466,6 +396,10 @@ main()
     double rate4 = 0.0;
     for (unsigned threads : {1u, 2u, 4u}) {
         scal.threads = threads;
+        // Every row starts from an empty process-global memo, so the
+        // rows measure threads, not how warm the earlier rows left
+        // the memo.
+        decoder::GlobalDecodeMemo::instance().clear();
         auto t0 = std::chrono::steady_clock::now();
         auto res = engine.run(scal);
         double rate = static_cast<double>(res.shots) /

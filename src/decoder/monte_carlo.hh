@@ -121,7 +121,7 @@ struct McOptions
     unsigned threads = 0;
     /**
      * Sampling word backend (common/word.hh).  Auto defers to the
-     * TRAQ_WORD_BACKEND env var, defaulting to the wide backend.
+     * TRAQ_WORD_BACKEND env var, defaulting to wide512.
      * Results are bit-identical across thread counts for a fixed
      * backend; the two backends agree statistically (and exactly on
      * noiseless / certain-error circuits) but consume randomness in

@@ -12,12 +12,13 @@
  *
  * This is the same architectural idea as Stim's frame simulator.  The
  * word width is a runtime property (see common/word.hh): one lane is
- * the classic portable 64-shot batch; kWideWordLanes lanes (256-bit
- * planes by default) amortize instruction dispatch and the sparse
- * Bernoulli sampler's one-draw-per-plane floor over 4x the shots,
- * which is what makes large-shot-count logical-error-rate estimation
- * fast.  Back-to-back single-qubit noise channels of the same kind on
- * the same targets are fused into a single Bernoulli plane draw.
+ * the classic portable 64-shot batch; kWide512WordLanes lanes
+ * (512-bit planes, the engine default) amortize instruction dispatch
+ * and the sparse Bernoulli sampler's one-draw-per-plane floor over
+ * 8x the shots, which is what makes large-shot-count
+ * logical-error-rate estimation fast.  Back-to-back single-qubit
+ * noise channels of the same kind on the same targets are fused into
+ * a single Bernoulli plane draw.
  *
  * The hot bodies (per-gate lane loops, transpose extraction) live in
  * frame_kernels_impl.hh, compiled once per CpuDispatch level and
@@ -86,22 +87,6 @@ struct FrameBatch
 };
 
 /**
- * Scatter a batch's detector planes into per-shot syndrome lists
- * (appending detector ids in ascending order).  Word-level: zero
- * words — the common case below threshold — are skipped wholesale
- * and set bits are walked with countr_zero.  liveMask holds one word
- * per lane; shots whose mask bit is clear are ignored.  out must
- * cover the batch's 64 * lanes shots (shot l * 64 + s lands in
- * out[l * 64 + s]) and arrive cleared: entries are appended, not
- * reset.  Kept for tests and back-compat callers; the engine hot
- * path uses extractSyndromeBlock below, which produces the same
- * syndromes without the per-shot vector traffic.
- */
-void extractSyndromes(const FrameBatch &batch,
-                      std::span<const std::uint64_t> liveMask,
-                      std::span<std::vector<std::uint32_t>> out);
-
-/**
  * SoA view of one batch's decode inputs: per-shot syndromes in CSR
  * layout plus per-shot actual observable-flip masks.
  *
@@ -160,10 +145,9 @@ struct SyndromeBlock
  * blocked 64x64 bit-matrix transpose and each shot's row words
  * stream straight into the CSR lists.  Masked-out shots (liveMask
  * bit clear) get empty syndromes and zero masks.  Equivalent to
- * extractSyndromes shot for shot and to extractSyndromeBlockScalar
- * bit for bit — locked by tests — with flat reused storage instead
- * of 64 * lanes per-shot vectors: the decode hot path's
- * allocation-free SoA hand-off.
+ * extractSyndromeBlockScalar bit for bit — locked by tests — with
+ * flat reused storage: the decode hot path's allocation-free SoA
+ * hand-off.
  */
 void extractSyndromeBlock(const FrameBatch &batch,
                           std::span<const std::uint64_t> liveMask,
@@ -205,7 +189,7 @@ class FrameSimulator
      * @param seed  RNG seed (reassignable via rng()).
      * @param lanes 64-bit lanes per sampling plane; each batch
      *              simulates lanes * 64 shots.  1 is the portable
-     *              64-shot path; kWideWordLanes the wide backend.
+     *              64-shot path; kWide512WordLanes the wide backend.
      *              Any positive count works (tests use odd widths).
      * @param dispatch CPU dispatch level for the kernel copies,
      *              resolved here once (Auto: TRAQ_CPU_DISPATCH env

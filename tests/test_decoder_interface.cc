@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "src/codes/experiments.hh"
@@ -273,7 +274,11 @@ TEST(MonteCarloEngine, ThreadCountDoesNotChangeResults)
         opts.threads = threads;
         auto res = runMonteCarlo(e, opts);
         EXPECT_EQ(res.threadsUsed, threads);
-        EXPECT_EQ(res.shards, (opts.shots + 255) / 256);
+        // Shards are whole sampler batches: the 256-shot request
+        // rounds up to 64 * wordLanes shots on the wide backend.
+        const std::uint64_t unit = std::max<std::uint64_t>(
+            opts.shardShots, 64ULL * res.wordLanes);
+        EXPECT_EQ(res.shards, (opts.shots + unit - 1) / unit);
         if (first) {
             ref = res;
             first = false;
@@ -317,11 +322,11 @@ TEST(MonteCarloEngine, TailShotsRoundToWideBatches)
     McOptions opts;
     opts.shots = 100;
     opts.threads = 1;
-    opts.wordBackend = WordBackend::Wide;
+    opts.wordBackend = WordBackend::Wide512;
     auto res = runMonteCarlo(e, opts);
-    const std::uint64_t batch = 64ULL * kWideWordLanes;
+    const std::uint64_t batch = 64ULL * kWide512WordLanes;
     EXPECT_EQ(res.shots, 100u);
-    EXPECT_EQ(res.wordLanes, kWideWordLanes);
+    EXPECT_EQ(res.wordLanes, kWide512WordLanes);
     EXPECT_EQ(res.sampledShots, (100 + batch - 1) / batch * batch);
     EXPECT_EQ(res.anyObservable.shots, 100u);
 }

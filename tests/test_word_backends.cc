@@ -1,13 +1,15 @@
 /**
  * @file
- * Width-backend agreement tests for the wide bit-plane sampling
- * stack: the scalar (1-lane), wide (kWideWordLanes), and wide512
- * (kWide512WordLanes) backends must agree exactly on deterministic
- * circuits, statistically on noisy ones, and each backend must stay
- * bit-identical across thread counts.  Also covers extractSyndromes
- * and extractSyndromeBlock for non-64 widths and partial live masks,
- * TRAQ_WORD_BACKEND resolution (including the loud-failure contract
- * on unknown values), and the noise-fusion path.
+ * Width agreement tests for the wide bit-plane sampling stack: the
+ * scalar64 (1-lane) and wide512 (kWide512WordLanes) backends, plus
+ * literal 3- and 4-lane simulator widths, must agree exactly on
+ * deterministic circuits, statistically on noisy ones, and the
+ * default backend must stay bit-identical across thread counts.
+ * Also covers extractSyndromeBlock against the scalar reference
+ * extractSyndromeBlockScalar for non-64 widths and partial live
+ * masks, TRAQ_WORD_BACKEND resolution (including the loud-failure
+ * contract on unknown and retired values), and the noise-fusion
+ * path.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -49,8 +52,7 @@ TEST(WordBackends, DeterministicCircuitAgreesExactly)
     c.detector({2});
     c.detector({1});
     c.observable(0, {1, 2});
-    for (unsigned lanes :
-         {1u, kWideWordLanes, kWide512WordLanes, 3u}) {
+    for (unsigned lanes : {1u, 4u, kWide512WordLanes, 3u}) {
         FrameSimulator sim(7, lanes);
         FrameBatch b = sim.sample(c);
         ASSERT_EQ(b.lanes, lanes);
@@ -76,7 +78,7 @@ TEST(WordBackends, ObservableFlipCountsAgreeStatistically)
     c.observable(0, {1});
     const std::uint64_t minShots = 1 << 17;
     std::vector<double> rates;
-    for (unsigned lanes : {1u, kWideWordLanes, kWide512WordLanes}) {
+    for (unsigned lanes : {1u, 4u, kWide512WordLanes}) {
         FrameSimulator sim(99, lanes);
         std::uint64_t shots = 0;
         auto counts = sim.countObservableFlips(c, minShots, &shots);
@@ -101,34 +103,26 @@ TEST(WordBackends, EngineBackendsAgreeStatistically)
 
     opts.wordBackend = WordBackend::Scalar64;
     auto scalar = decoder::runMonteCarlo(e, opts);
-    opts.wordBackend = WordBackend::Wide;
-    auto wide = decoder::runMonteCarlo(e, opts);
     opts.wordBackend = WordBackend::Wide512;
     auto wide512 = decoder::runMonteCarlo(e, opts);
 
     EXPECT_EQ(scalar.wordLanes, 1u);
-    EXPECT_EQ(wide.wordLanes, kWideWordLanes);
     EXPECT_EQ(wide512.wordLanes, kWide512WordLanes);
-    EXPECT_EQ(scalar.shots, wide.shots);
     EXPECT_EQ(scalar.shots, wide512.shots);
     // ~5 sigma of a binomial proportion at these settings.
     const double sigma =
         std::sqrt(scalar.anyObservable.mean *
                   (1 - scalar.anyObservable.mean) / scalar.shots);
-    EXPECT_NEAR(wide.anyObservable.mean, scalar.anyObservable.mean,
-                5.0 * sigma + 1e-12);
     EXPECT_NEAR(wide512.anyObservable.mean,
                 scalar.anyObservable.mean, 5.0 * sigma + 1e-12);
-    EXPECT_NEAR(wide.avgDefects, scalar.avgDefects,
-                0.05 * scalar.avgDefects);
     EXPECT_NEAR(wide512.avgDefects, scalar.avgDefects,
                 0.05 * scalar.avgDefects);
 }
 
 TEST(WordBackends, WideBackendsThreadCountInvariant)
 {
-    // The per-backend determinism guarantee: for each wide backend,
-    // any thread count reproduces the 1-thread tallies exactly.
+    // The determinism guarantee for the wide backend: any thread
+    // count reproduces the 1-thread tallies exactly.
     codes::SurfaceCode sc(3);
     auto e = codes::buildMemory(sc, 'Z', 3,
                                 codes::NoiseParams::uniform(0.01));
@@ -136,35 +130,28 @@ TEST(WordBackends, WideBackendsThreadCountInvariant)
     opts.shots = 4000;
     opts.seed = 4242;
     opts.shardShots = 512; // force many shards
+    opts.wordBackend = WordBackend::Wide512;
 
-    for (auto [backend, lanes] :
-         {std::pair{WordBackend::Wide, kWideWordLanes},
-          std::pair{WordBackend::Wide512, kWide512WordLanes}}) {
-        opts.wordBackend = backend;
-        decoder::McResult ref;
-        bool first = true;
-        for (unsigned threads : {1u, 2u, 4u}) {
-            opts.threads = threads;
-            auto res = decoder::runMonteCarlo(e, opts);
-            EXPECT_EQ(res.wordLanes, lanes);
-            if (first) {
-                ref = res;
-                first = false;
-                EXPECT_GT(ref.anyObservable.hits, 0u);
-                continue;
-            }
-            EXPECT_EQ(res.anyObservable.hits,
-                      ref.anyObservable.hits);
-            EXPECT_EQ(res.shots, ref.shots);
-            EXPECT_EQ(res.sampledShots, ref.sampledShots);
-            ASSERT_EQ(res.perObservable.size(),
-                      ref.perObservable.size());
-            for (std::size_t k = 0; k < ref.perObservable.size();
-                 ++k)
-                EXPECT_EQ(res.perObservable[k].hits,
-                          ref.perObservable[k].hits);
-            EXPECT_DOUBLE_EQ(res.avgDefects, ref.avgDefects);
+    decoder::McResult ref;
+    bool first = true;
+    for (unsigned threads : {1u, 2u, 4u}) {
+        opts.threads = threads;
+        auto res = decoder::runMonteCarlo(e, opts);
+        EXPECT_EQ(res.wordLanes, kWide512WordLanes);
+        if (first) {
+            ref = res;
+            first = false;
+            EXPECT_GT(ref.anyObservable.hits, 0u);
+            continue;
         }
+        EXPECT_EQ(res.anyObservable.hits, ref.anyObservable.hits);
+        EXPECT_EQ(res.shots, ref.shots);
+        EXPECT_EQ(res.sampledShots, ref.sampledShots);
+        ASSERT_EQ(res.perObservable.size(), ref.perObservable.size());
+        for (std::size_t k = 0; k < ref.perObservable.size(); ++k)
+            EXPECT_EQ(res.perObservable[k].hits,
+                      ref.perObservable[k].hits);
+        EXPECT_DOUBLE_EQ(res.avgDefects, ref.avgDefects);
     }
 }
 
@@ -174,17 +161,15 @@ TEST(WordBackends, EnvResolutionParsesKnownNamesAndFailsLoudly)
     ASSERT_EQ(setenv("TRAQ_WORD_BACKEND", "512", 1), 0);
     EXPECT_EQ(resolveWordBackend(WordBackend::Scalar64),
               WordBackend::Scalar64);
-    EXPECT_EQ(resolveWordBackend(WordBackend::Wide),
-              WordBackend::Wide);
+    ASSERT_EQ(setenv("TRAQ_WORD_BACKEND", "64", 1), 0);
+    EXPECT_EQ(resolveWordBackend(WordBackend::Wide512),
+              WordBackend::Wide512);
 
     // Auto resolves every documented spelling.
     const std::pair<const char *, WordBackend> spellings[] = {
         {"64", WordBackend::Scalar64},
         {"scalar", WordBackend::Scalar64},
         {"scalar64", WordBackend::Scalar64},
-        {"256", WordBackend::Wide},
-        {"wide", WordBackend::Wide},
-        {"wide256", WordBackend::Wide},
         {"512", WordBackend::Wide512},
         {"wide512", WordBackend::Wide512},
     };
@@ -194,27 +179,49 @@ TEST(WordBackends, EnvResolutionParsesKnownNamesAndFailsLoudly)
             << name;
     }
 
-    // Unset / empty default to Wide.
+    // Unset / empty default to Wide512.
     ASSERT_EQ(setenv("TRAQ_WORD_BACKEND", "", 1), 0);
     EXPECT_EQ(resolveWordBackend(WordBackend::Auto),
-              WordBackend::Wide);
+              WordBackend::Wide512);
     ASSERT_EQ(unsetenv("TRAQ_WORD_BACKEND"), 0);
     EXPECT_EQ(resolveWordBackend(WordBackend::Auto),
-              WordBackend::Wide);
+              WordBackend::Wide512);
+    EXPECT_EQ(wordBackendLanes(WordBackend::Auto), 8u);
 
-    // A typo must throw, not silently fall back to the default.
-    ASSERT_EQ(setenv("TRAQ_WORD_BACKEND", "wide-512", 1), 0);
-    EXPECT_THROW(resolveWordBackend(WordBackend::Auto), FatalError);
+    // A typo — or a retired 256-bit spelling — must throw, not
+    // silently fall back to the default.
+    for (const char *name : {"wide-512", "256", "wide", "wide256"}) {
+        ASSERT_EQ(setenv("TRAQ_WORD_BACKEND", name, 1), 0);
+        EXPECT_THROW(resolveWordBackend(WordBackend::Auto),
+                     FatalError)
+            << name;
+    }
     ASSERT_EQ(unsetenv("TRAQ_WORD_BACKEND"), 0);
 
-    EXPECT_STREQ(wordBackendName(WordBackend::Wide512),
-                 kWide512WordLanes == 8 ? "wide512"
-                                        : "wide512(64)");
-    // Compile-time codegen label is one of the three documented
-    // values (the runtime dispatch level is tested separately in
-    // test_cpu_dispatch.cc).
-    const std::string cg = wordBackendCompiled();
-    EXPECT_TRUE(cg == "avx512f" || cg == "avx2" || cg == "baseline");
+    EXPECT_STREQ(wordBackendName(WordBackend::Scalar64), "scalar64");
+    EXPECT_STREQ(wordBackendName(WordBackend::Wide512), "wide512");
+}
+
+/** Shot s's syndrome as an owning vector (for EXPECT_EQ). */
+std::vector<std::uint32_t>
+syndromeOf(const SyndromeBlock &blk, std::uint64_t s)
+{
+    const auto syn = blk.syndrome(s);
+    return {syn.begin(), syn.end()};
+}
+
+/** The dispatched block and the scalar reference agree exactly. */
+void
+expectMatchesScalarReference(const FrameBatch &b,
+                             std::span<const std::uint64_t> live,
+                             const SyndromeBlock &blk)
+{
+    SyndromeBlock ref;
+    extractSyndromeBlockScalar(b, live, ref);
+    EXPECT_EQ(blk.lanes, ref.lanes);
+    EXPECT_EQ(blk.offsets, ref.offsets);
+    EXPECT_EQ(blk.defects, ref.defects);
+    EXPECT_EQ(blk.observables, ref.observables);
 }
 
 TEST(WordBackends, ExtractSyndromesRoundTripsNon64Widths)
@@ -233,39 +240,40 @@ TEST(WordBackends, ExtractSyndromesRoundTripsNon64Widths)
     ASSERT_EQ(b.numDetectors(), 3u);
 
     const std::vector<std::uint64_t> full{~0ULL, ~0ULL};
-    std::vector<std::vector<std::uint32_t>> out(b.shots());
-    extractSyndromes(b, full, out);
-    EXPECT_EQ(out[0], (std::vector<std::uint32_t>{0}));
-    EXPECT_EQ(out[3], (std::vector<std::uint32_t>{1}));
-    EXPECT_EQ(out[64], (std::vector<std::uint32_t>{0, 2}));
-    EXPECT_EQ(out[127], (std::vector<std::uint32_t>{1, 2}));
-    EXPECT_TRUE(out[1].empty());
-    std::size_t total = 0;
-    for (const auto &s : out)
-        total += s.size();
-    EXPECT_EQ(total, 2u + 2u + 64u);
+    SyndromeBlock out;
+    extractSyndromeBlock(b, full, out);
+    ASSERT_EQ(out.offsets.size(), b.shots() + 1);
+    EXPECT_EQ(syndromeOf(out, 0), (std::vector<std::uint32_t>{0}));
+    EXPECT_EQ(syndromeOf(out, 3), (std::vector<std::uint32_t>{1}));
+    EXPECT_EQ(syndromeOf(out, 64),
+              (std::vector<std::uint32_t>{0, 2}));
+    EXPECT_EQ(syndromeOf(out, 127),
+              (std::vector<std::uint32_t>{1, 2}));
+    EXPECT_TRUE(out.syndrome(1).empty());
+    EXPECT_EQ(out.defects.size(), 2u + 2u + 64u);
+    expectMatchesScalarReference(b, full, out);
 
     // Partial live mask: only shots 0..2 of lane 0 and 64..66 of
     // lane 1 are live; everything else must be dropped.
     const std::vector<std::uint64_t> partial{7ULL, 7ULL};
-    std::vector<std::vector<std::uint32_t>> masked(b.shots());
-    extractSyndromes(b, partial, masked);
-    EXPECT_EQ(masked[0], (std::vector<std::uint32_t>{0}));
-    EXPECT_TRUE(masked[3].empty());  // shot 3 masked out
-    EXPECT_EQ(masked[64], (std::vector<std::uint32_t>{0, 2}));
-    EXPECT_EQ(masked[65], (std::vector<std::uint32_t>{2}));
-    EXPECT_TRUE(masked[127].empty());
-    total = 0;
-    for (const auto &s : masked)
-        total += s.size();
-    EXPECT_EQ(total, 1u + 1u + 3u);
+    SyndromeBlock masked;
+    extractSyndromeBlock(b, partial, masked);
+    EXPECT_EQ(syndromeOf(masked, 0), (std::vector<std::uint32_t>{0}));
+    EXPECT_TRUE(masked.syndrome(3).empty());  // shot 3 masked out
+    EXPECT_EQ(syndromeOf(masked, 64),
+              (std::vector<std::uint32_t>{0, 2}));
+    EXPECT_EQ(syndromeOf(masked, 65), (std::vector<std::uint32_t>{2}));
+    EXPECT_TRUE(masked.syndrome(127).empty());
+    EXPECT_EQ(masked.defects.size(), 1u + 1u + 3u);
+    expectMatchesScalarReference(b, partial, masked);
 }
 
 TEST(WordBackends, ExtractSyndromeBlockMatchesPerShotExtraction)
 {
     // Same hand-built 2-lane batch as above, plus observable planes;
-    // the CSR block must match extractSyndromes shot for shot and
-    // scatter the observable masks correctly.
+    // the dispatched CSR block must match the scalar reference
+    // extraction shot for shot and scatter the observable masks
+    // correctly.
     FrameBatch b;
     b.lanes = 2;
     b.detectors = {
@@ -284,16 +292,7 @@ TEST(WordBackends, ExtractSyndromeBlockMatchesPerShotExtraction)
     ASSERT_EQ(blk.lanes, 2u);
     ASSERT_EQ(blk.offsets.size(), b.shots() + 1);
     ASSERT_EQ(blk.observables.size(), b.shots());
-
-    std::vector<std::vector<std::uint32_t>> ref(b.shots());
-    extractSyndromes(b, full, ref);
-    for (std::uint64_t s = 0; s < b.shots(); ++s) {
-        const auto syn = blk.syndrome(s);
-        ASSERT_EQ(std::vector<std::uint32_t>(syn.begin(),
-                                             syn.end()),
-                  ref[s])
-            << "shot " << s;
-    }
+    expectMatchesScalarReference(b, full, blk);
     EXPECT_EQ(blk.observables[0], 0u);
     EXPECT_EQ(blk.observables[1], 1u);  // obs0
     EXPECT_EQ(blk.observables[63], 2u); // obs1
@@ -303,41 +302,24 @@ TEST(WordBackends, ExtractSyndromeBlockMatchesPerShotExtraction)
     // Partial live mask: dead shots come out empty with zero masks.
     const std::vector<std::uint64_t> partial{7ULL, 7ULL};
     extractSyndromeBlock(b, partial, blk);
-    std::vector<std::vector<std::uint32_t>> maskedRef(b.shots());
-    extractSyndromes(b, partial, maskedRef);
-    for (std::uint64_t s = 0; s < b.shots(); ++s) {
-        const auto syn = blk.syndrome(s);
-        ASSERT_EQ(std::vector<std::uint32_t>(syn.begin(),
-                                             syn.end()),
-                  maskedRef[s])
-            << "shot " << s;
-    }
+    expectMatchesScalarReference(b, partial, blk);
     EXPECT_EQ(blk.observables[63], 0u); // masked out
     EXPECT_EQ(blk.observables[64], 2u); // still live
 
-    // Simulator-sampled batch: the block and the per-shot extraction
+    // Simulator-sampled batch: the block and the scalar reference
     // must agree on real noisy data across every backend width.
     codes::SurfaceCode sc(3);
     auto e = codes::buildMemory(sc, 'Z', 3,
                                 codes::NoiseParams::uniform(0.05));
-    for (unsigned lanes : {1u, kWideWordLanes, kWide512WordLanes}) {
+    for (unsigned lanes : {1u, 4u, kWide512WordLanes}) {
         FrameSimulator sim(31337, lanes);
         FrameBatch nb = sim.sample(e.circuit);
         const std::vector<std::uint64_t> live(lanes, ~0ULL);
         SyndromeBlock nblk;
         extractSyndromeBlock(nb, live, nblk);
-        std::vector<std::vector<std::uint32_t>> nref(nb.shots());
-        extractSyndromes(nb, live, nref);
-        std::uint64_t defects = 0;
-        for (std::uint64_t s = 0; s < nb.shots(); ++s) {
-            const auto syn = nblk.syndrome(s);
-            ASSERT_EQ(std::vector<std::uint32_t>(syn.begin(),
-                                                 syn.end()),
-                      nref[s])
-                << "lanes " << lanes << " shot " << s;
-            defects += syn.size();
-        }
-        EXPECT_GT(defects, 0u) << "lanes " << lanes;
+        SCOPED_TRACE("lanes " + std::to_string(lanes));
+        expectMatchesScalarReference(nb, live, nblk);
+        EXPECT_GT(nblk.defects.size(), 0u);
     }
 }
 
@@ -350,7 +332,7 @@ TEST(WordBackends, FusedNoiseMatchesCombinedProbability)
     cancel.xError(1.0, {0});
     cancel.m(0);
     cancel.detector({1});
-    for (unsigned lanes : {1u, kWideWordLanes}) {
+    for (unsigned lanes : {1u, 4u}) {
         FrameSimulator sim(5, lanes);
         FrameBatch b = sim.sample(cancel);
         for (std::uint64_t w : b.detector(0))
@@ -363,7 +345,7 @@ TEST(WordBackends, FusedNoiseMatchesCombinedProbability)
     half.xError(0.5, {0});
     half.m(0);
     half.observable(0, {1});
-    FrameSimulator sim(11, kWideWordLanes);
+    FrameSimulator sim(11, 4u);
     std::uint64_t shots = 0;
     auto counts = sim.countObservableFlips(half, 1 << 16, &shots);
     const double rate = static_cast<double>(counts[0]) / shots;
