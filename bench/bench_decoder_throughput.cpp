@@ -21,6 +21,12 @@
  * the "no cache" column isolates the Dijkstra-sharing win), and
  * decodeBatch() with the predecode pair-peeler enabled (the
  * "<kind>+batch+predecode" budget lines).
+ *
+ * One more row times the erasure-aware engine path on the paper's
+ * headline operation: d=5 transversal CNOT with heralded atom loss
+ * (noise.atom-loss.p = 0.005), decoded by the correlated decoder one
+ * shot at a time through decodeWithContext, with every fired
+ * herald's edges zeroed — the "correlated+herald-context" line.
  * WARN rather than FAIL: CI machine classes vary, and the tripwire
  * for gross regressions is the wall-clock baseline in
  * bench/perf_baseline.txt.
@@ -36,6 +42,7 @@
 #include "src/common/table.hh"
 #include "src/common/word.hh"
 #include "src/decoder/decoder.hh"
+#include "src/noise/noise.hh"
 #include "src/sim/dem.hh"
 #include "src/sim/frame.hh"
 
@@ -49,14 +56,20 @@ struct Fixture
 {
     std::string label;
     codes::Experiment exp;
+    /** The sampled circuit: exp.circuit plus any compiled noise. */
+    sim::Circuit circuit;
     decoder::DecodeGraph graph;
     int rounds = 1;
     std::vector<std::vector<std::uint32_t>> syndromes;
+    /** Fired herald channels per shot (all empty without loss). */
+    std::vector<std::vector<std::uint32_t>> heralds;
 
     Fixture(std::string name, codes::Experiment e,
-            std::size_t shots)
+            std::size_t shots, double atomLoss = 0.0)
         : label(std::move(name)), exp(std::move(e)),
-          graph(decoder::DecodeGraph::build(exp))
+          circuit(withAtomLoss(exp.circuit, atomLoss)),
+          graph(decoder::DecodeGraph::fromDem(sim::buildDem(circuit),
+                                              exp.meta))
     {
         rounds = graph.numRounds();
         sim::FrameSimulator fs(7);
@@ -64,14 +77,26 @@ struct Fixture
         sim::SyndromeBlock block;
         const std::uint64_t live = ~0ULL;
         while (syndromes.size() < shots) {
-            fs.sampleInto(exp.circuit, batch);
+            fs.sampleInto(circuit, batch);
             sim::extractSyndromeBlock(batch, {&live, 1}, block);
             for (std::uint64_t s = 0;
                  s < block.shots() && syndromes.size() < shots; ++s) {
                 const auto syn = block.syndrome(s);
                 syndromes.emplace_back(syn.begin(), syn.end());
+                const auto her = block.heralds(s);
+                heralds.emplace_back(her.begin(), her.end());
             }
         }
+    }
+
+    static sim::Circuit
+    withAtomLoss(const sim::Circuit &c, double p)
+    {
+        if (p <= 0.0)
+            return c;
+        noise::NoiseSpec spec;
+        spec.setFlat("noise.atom-loss.p", p);
+        return noise::NoiseModel::fromSpec(spec).compile(c);
     }
 
     static codes::Experiment
@@ -181,6 +206,52 @@ usPerShotBatch(decoder::Decoder &dec, const BatchStorage &batch,
     return 1e6 * secs / static_cast<double>(batch.shots);
 }
 
+/**
+ * Mean per-shot decode time, in microseconds, on the erasure-aware
+ * engine path (MonteCarloEngine::runShard): a shot with fired
+ * heralds is decoded through decodeWithContext with the weight of
+ * every edge its channels can explain zeroed; a clean shot takes
+ * decodeSpan.
+ */
+double
+usPerShotHeralded(decoder::Decoder &dec, const Fixture &f)
+{
+    const auto &edges = f.graph.edges();
+    std::vector<double> w;
+    w.reserve(edges.size());
+    for (const auto &e : edges)
+        w.push_back(e.weight);
+    std::vector<std::uint32_t> touched;
+    auto decodeAll = [&] {
+        for (std::size_t s = 0; s < f.syndromes.size(); ++s) {
+            if (f.heralds[s].empty()) {
+                dec.decodeSpan(f.syndromes[s]);
+                continue;
+            }
+            for (std::uint32_t c : f.heralds[s])
+                for (std::uint32_t ei : f.graph.channelEdges(c))
+                    if (w[ei] != 0.0) {
+                        touched.push_back(ei);
+                        w[ei] = 0.0;
+                    }
+            decoder::DecodeContext ctx;
+            ctx.weights = w;
+            dec.decodeWithContext(f.syndromes[s], ctx);
+            for (std::uint32_t ei : touched)
+                w[ei] = edges[ei].weight;
+            touched.clear();
+        }
+    };
+    decodeAll();  // warm scratch
+    dec.reset();
+    const auto t0 = std::chrono::steady_clock::now();
+    decodeAll();
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    return 1e6 * secs / static_cast<double>(f.syndromes.size());
+}
+
 } // namespace
 
 int
@@ -249,13 +320,29 @@ main()
             }
         }
     }
+
+    // The heralded-loss context path: correlated decoding per shot.
+    const Fixture loss("cnot d=5 + loss", Fixture::makeCnot(5), 256,
+                       0.005);
+    {
+        const auto kind = decoder::DecoderKind::Correlated;
+        auto dec = decoder::makeDecoder(kind, loss.graph);
+        const double us = usPerShotHeralded(*dec, loss);
+        const std::string name =
+            std::string(decoder::decoderKindName(kind)) +
+            "+herald-context";
+        t.addRow({loss.label, name, fmtF(us, 1), "-", "-", "-", "-",
+                  fmtF(us / loss.rounds, 2),
+                  std::to_string(dec->fallbacks()), "0"});
+        budgetLines.emplace_back(name, us / loss.rounds);
+    }
     t.print();
 
     std::printf("\n(per-round latency on the hardest fixture, %s "
-                "over %d rounds, vs the ~%g us Table I decode "
-                "budget)\n",
+                "over %d rounds, and on %s with heralded contexts, "
+                "vs the ~%g us Table I decode budget)\n",
                 hardest.label.c_str(), hardest.rounds,
-                kBudgetUsPerRound);
+                loss.label.c_str(), kBudgetUsPerRound);
     for (const auto &[name, usRound] : budgetLines) {
         std::printf("decode-latency[%s]: %.2f us/round %s "
                     "(budget %g)\n",
