@@ -15,18 +15,19 @@
  *
  * line on the hardest fixture (d=5 joint CNOT decoding), which
  * scripts/perf_smoke.sh archives into the CI perf-history artifact.
- * Each kind is timed four ways on the same accepted shots: the
- * per-shot decode() loop, one decodeBatch() call over the packed
- * CSR syndromes (MWPM reach cache on — the default — and off, so
- * the "no cache" column isolates the Dijkstra-sharing win), and
- * decodeBatch() with the predecode pair-peeler enabled (the
- * "<kind>+batch+predecode" budget lines).
+ * Each kind is timed three ways on the same accepted shots: the
+ * per-shot decode() loop (MWPM reach cache on, the default), and
+ * the engine's batch driver decodeBatchSorted() with memoization
+ * off over the packed CSR syndromes, once with the reach cache off
+ * (the "no cache" column) and once with the predecode pair-peeler
+ * enabled (the "<kind>+batch+predecode" budget lines).
  *
  * One more row times the erasure-aware engine path on the paper's
  * headline operation: d=5 transversal CNOT with heralded atom loss
- * (noise.atom-loss.p = 0.005), decoded by the correlated decoder one
- * shot at a time through decodeWithContext, with every fired
- * herald's edges zeroed — the "correlated+herald-context" line.
+ * (noise.atom-loss.p = 0.005), decoded by the correlated decoder
+ * through decodeBatchSorted() with the fired heralds attached, so
+ * every heralded shot decodes with its channels' edges zeroed — the
+ * "correlated+herald-context" line.
  * WARN rather than FAIL: CI machine classes vary, and the tripwire
  * for gross regressions is the wall-clock baseline in
  * bench/perf_baseline.txt.
@@ -118,19 +119,26 @@ struct Fixture
     }
 };
 
-/** CSR view over a subset of a fixture's pre-sampled syndromes. */
+/** CSR view over a subset of a fixture's pre-sampled shots. */
 struct BatchStorage
 {
     std::vector<std::uint32_t> offsets{0};
     std::vector<std::uint32_t> defects;
+    std::vector<std::uint32_t> heraldOffsets{0};
+    std::vector<std::uint32_t> heraldIds;
     std::size_t shots = 0;
 
     void
-    add(const std::vector<std::uint32_t> &syn)
+    add(const std::vector<std::uint32_t> &syn,
+        const std::vector<std::uint32_t> &heralds = {})
     {
         defects.insert(defects.end(), syn.begin(), syn.end());
         offsets.push_back(
             static_cast<std::uint32_t>(defects.size()));
+        heraldIds.insert(heraldIds.end(), heralds.begin(),
+                         heralds.end());
+        heraldOffsets.push_back(
+            static_cast<std::uint32_t>(heraldIds.size()));
         ++shots;
     }
 
@@ -140,6 +148,8 @@ struct BatchStorage
         decoder::SyndromeBatch b;
         b.offsets = offsets;
         b.defects = defects;
+        b.heraldOffsets = heraldOffsets;
+        b.heraldIds = heraldIds;
         return b;
     }
 };
@@ -183,10 +193,9 @@ usPerShot(decoder::Decoder &dec, const Fixture &f,
 }
 
 /**
- * Mean decodeBatch time per shot, in microseconds: one batched call
- * over the packed CSR syndromes — the shape MonteCarloEngine feeds
- * decoders — so the delta vs usPerShot is the per-shot virtual-call
- * and vector-copy overhead (plus the predecode win when enabled).
+ * Mean per-shot time of one decodeBatchSorted() call (memo off, so
+ * every shot is decoded) over the packed CSR shots — the shape
+ * MonteCarloEngine feeds decoders, heralded shots included.
  */
 double
 usPerShotBatch(decoder::Decoder &dec, const BatchStorage &batch,
@@ -196,60 +205,16 @@ usPerShotBatch(decoder::Decoder &dec, const BatchStorage &batch,
         return 0.0;
     out.resize(batch.shots);
     const decoder::SyndromeBatch view = batch.view();
-    dec.decodeBatch(view, out);  // warm scratch
+    decoder::BatchDecodeScratch scratch;
+    // Warm scratch outside the timed call.
+    decoder::decodeBatchSorted(dec, view, out, scratch, false);
     dec.reset();
     const auto t0 = std::chrono::steady_clock::now();
-    dec.decodeBatch(view, out);
+    decoder::decodeBatchSorted(dec, view, out, scratch, false);
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
     return 1e6 * secs / static_cast<double>(batch.shots);
-}
-
-/**
- * Mean per-shot decode time, in microseconds, on the erasure-aware
- * engine path (MonteCarloEngine::runShard): a shot with fired
- * heralds is decoded through decodeWithContext with the weight of
- * every edge its channels can explain zeroed; a clean shot takes
- * decodeSpan.
- */
-double
-usPerShotHeralded(decoder::Decoder &dec, const Fixture &f)
-{
-    const auto &edges = f.graph.edges();
-    std::vector<double> w;
-    w.reserve(edges.size());
-    for (const auto &e : edges)
-        w.push_back(e.weight);
-    std::vector<std::uint32_t> touched;
-    auto decodeAll = [&] {
-        for (std::size_t s = 0; s < f.syndromes.size(); ++s) {
-            if (f.heralds[s].empty()) {
-                dec.decodeSpan(f.syndromes[s]);
-                continue;
-            }
-            for (std::uint32_t c : f.heralds[s])
-                for (std::uint32_t ei : f.graph.channelEdges(c))
-                    if (w[ei] != 0.0) {
-                        touched.push_back(ei);
-                        w[ei] = 0.0;
-                    }
-            decoder::DecodeContext ctx;
-            ctx.weights = w;
-            dec.decodeWithContext(f.syndromes[s], ctx);
-            for (std::uint32_t ei : touched)
-                w[ei] = edges[ei].weight;
-            touched.clear();
-        }
-    };
-    decodeAll();  // warm scratch
-    dec.reset();
-    const auto t0 = std::chrono::steady_clock::now();
-    decodeAll();
-    const double secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    return 1e6 * secs / static_cast<double>(f.syndromes.size());
 }
 
 } // namespace
@@ -272,9 +237,9 @@ main()
     fixtures.emplace_back("cnot d=5", Fixture::makeCnot(5), 256);
     const Fixture &hardest = fixtures.back();
 
-    Table t({"circuit", "decoder", "us/shot", "batch us/shot",
-             "no cache", "+predecode", "peeled", "us/round",
-             "fallbacks", "skipped"});
+    Table t({"circuit", "decoder", "us/shot", "no cache",
+             "+predecode", "peeled", "us/round", "fallbacks",
+             "skipped"});
     std::vector<std::pair<std::string, double>> budgetLines;
     std::vector<std::uint32_t> out;
     for (const Fixture &f : fixtures) {
@@ -285,13 +250,11 @@ main()
             BatchStorage batch;
             const double us = usPerShot(*dec, f, &skipped, &batch);
             const double usRound = us / f.rounds;
-            // Same accepted shots, batched: first through the plain
-            // decodeBatch entry point, then with the predecode
-            // peeler in front of the matcher.
-            dec->reset();
-            const double usBatch = usPerShotBatch(*dec, batch, out);
-            // Reach cache forced off: the delta vs "batch us/shot"
-            // (cache on by default) is the Dijkstra-sharing win.
+            // Same accepted shots through the batch driver: first
+            // with the reach cache forced off (the delta vs "us/shot",
+            // cache on by default, is mostly the Dijkstra-sharing
+            // win), then with the predecode peeler in front of the
+            // matcher.
             decoder::DecoderConfig noCacheCfg;
             noCacheCfg.reachCache = 0;
             auto decNoCache =
@@ -304,8 +267,8 @@ main()
                 decoder::makeDecoder(kind, f.graph, preCfg);
             const double usPre = usPerShotBatch(*decPre, batch, out);
             t.addRow({f.label, decoder::decoderKindName(kind),
-                      fmtF(us, 1), fmtF(usBatch, 1),
-                      fmtF(usNoCache, 1), fmtF(usPre, 1),
+                      fmtF(us, 1), fmtF(usNoCache, 1),
+                      fmtF(usPre, 1),
                       std::to_string(decPre->predecodedPairs()),
                       fmtF(usRound, 2),
                       std::to_string(dec->fallbacks()),
@@ -321,17 +284,21 @@ main()
         }
     }
 
-    // The heralded-loss context path: correlated decoding per shot.
+    // The heralded-loss context path: correlated decoding of the
+    // batch with its herald CSR attached.
     const Fixture loss("cnot d=5 + loss", Fixture::makeCnot(5), 256,
                        0.005);
     {
         const auto kind = decoder::DecoderKind::Correlated;
         auto dec = decoder::makeDecoder(kind, loss.graph);
-        const double us = usPerShotHeralded(*dec, loss);
+        BatchStorage batch;
+        for (std::size_t s = 0; s < loss.syndromes.size(); ++s)
+            batch.add(loss.syndromes[s], loss.heralds[s]);
+        const double us = usPerShotBatch(*dec, batch, out);
         const std::string name =
             std::string(decoder::decoderKindName(kind)) +
             "+herald-context";
-        t.addRow({loss.label, name, fmtF(us, 1), "-", "-", "-", "-",
+        t.addRow({loss.label, name, fmtF(us, 1), "-", "-", "-",
                   fmtF(us / loss.rounds, 2),
                   std::to_string(dec->fallbacks()), "0"});
         budgetLines.emplace_back(name, us / loss.rounds);

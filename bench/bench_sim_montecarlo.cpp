@@ -15,8 +15,8 @@
  * vs 8-lane wide bit-planes, common/word.hh), the full
  * sample->extract->decode hot path (the previous generation of the
  * pipeline — baseline codegen, scalar extraction, no memo, no reach
- * cache — vs the CSR-block pipeline with and without predecode and
- * vs the current full stack of runtime CPU dispatch, transpose
+ * cache — vs the CSR-block pipeline with predecode and vs the
+ * current full stack of runtime CPU dispatch, transpose
  * extraction, decode memoization, the process-global syndrome memo
  * and the MWPM reach cache; the "hotpath-speedup-vs-pr7[...]" /
  * "decode-memo-hit-rate[...]" / "cross-batch-memo-hit-rate[...]"
@@ -79,17 +79,16 @@ samplerShotsPerSec(const traq::codes::Experiment &e, unsigned lanes,
 
 /**
  * End-to-end hot-path throughput, block shape: sampleInto +
- * extractSyndromeBlock (CSR) + one decodeBatch call per batch,
- * optionally with the predecode fast path peeling isolated pairs
- * before the matcher.  The reach cache is pinned off, as in the
- * previous-generation row, so these rows measure pipeline shape,
+ * extractSyndromeBlock (CSR) + one decodeBatchSorted call per batch
+ * with memoization off, the predecode fast path peeling isolated
+ * pairs before the matcher.  The reach cache is pinned off, as in
+ * the previous-generation row, so this row measures pipeline shape,
  * not cache state.
  */
 double
 blockPipelineShotsPerSec(const traq::codes::Experiment &e,
                          const traq::decoder::DecodeGraph &graph,
-                         unsigned lanes, std::uint64_t shots,
-                         bool predecode)
+                         unsigned lanes, std::uint64_t shots)
 {
     using namespace traq;
     sim::FrameSimulator fs(1234, lanes);
@@ -98,10 +97,11 @@ blockPipelineShotsPerSec(const traq::codes::Experiment &e,
     std::vector<std::uint64_t> live(lanes, ~0ULL);
     std::vector<std::uint32_t> predicted(64ULL * lanes);
     decoder::DecoderConfig cfg;
-    cfg.predecode = predecode ? 1 : 0;
+    cfg.predecode = 1;
     cfg.reachCache = 0;  // equal cache state with the prev-gen row
     auto dec = decoder::makeDecoder(decoder::DecoderKind::Fallback,
                                     graph, cfg);
+    decoder::BatchDecodeScratch scratch;
     fs.sampleInto(e.circuit, batch);  // warm allocations
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t done = 0;
@@ -111,7 +111,8 @@ blockPipelineShotsPerSec(const traq::codes::Experiment &e,
         decoder::SyndromeBatch view;
         view.offsets = block.offsets;
         view.defects = block.defects;
-        dec->decodeBatch(view, predicted);
+        decoder::decodeBatchSorted(*dec, view, predicted, scratch,
+                                   false);
         done += batch.shots();
     }
     return static_cast<double>(done) / secondsSince(t0);
@@ -296,12 +297,8 @@ main()
                 e, graph, kWide512WordLanes, shots, true);
             h.addRow({cfg, "prev gen (baseline+scalar extract)",
                       fmtE(prior, 2), "1.00x"});
-            const double block = blockPipelineShotsPerSec(
-                e, graph, kWide512WordLanes, shots, false);
-            h.addRow({cfg, "CSR block + decodeBatch", fmtE(block, 2),
-                      fmtF(block / prior, 2) + "x"});
             const double peeled = blockPipelineShotsPerSec(
-                e, graph, kWide512WordLanes, shots, true);
+                e, graph, kWide512WordLanes, shots);
             h.addRow({cfg, "CSR block + batch + predecode",
                       fmtE(peeled, 2),
                       fmtF(peeled / prior, 2) + "x"});

@@ -13,7 +13,7 @@ CorrelatedDecoder::CorrelatedDecoder(const DecodeGraph &graph,
     // but does get the reach cache: the first matching pass runs
     // under the default context, where cached searches apply; the
     // reweighted second pass bypasses the cache automatically.
-    : graph_(graph),
+    : Decoder(graph),
       inner_(graph, config.mwpmMaxDefects, /*predecode=*/false,
              /*predecodeRadius=*/2, resolveReachCache(config.reachCache))
 {
@@ -27,19 +27,6 @@ CorrelatedDecoder::CorrelatedDecoder(const DecodeGraph &graph,
     weights_.reserve(graph_.edges().size());
     for (const auto &e : graph_.edges())
         weights_.push_back(e.weight);
-}
-
-std::uint32_t
-CorrelatedDecoder::decode(const std::vector<std::uint32_t> &syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
-}
-
-std::uint32_t
-CorrelatedDecoder::decodeSpan(
-    std::span<const std::uint32_t> syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
 }
 
 std::uint32_t

@@ -49,12 +49,6 @@ class CorrelatedDecoder final : public Decoder
     CorrelatedDecoder(const DecodeGraph &graph,
                       const DecoderConfig &config);
 
-    std::uint32_t
-    decode(const std::vector<std::uint32_t> &syndrome) override;
-
-    std::uint32_t
-    decodeSpan(std::span<const std::uint32_t> syndrome) override;
-
     /**
      * Context-aware decode: the round horizon (if any) applies to
      * both passes.  External weight overrides (the erasure-aware
@@ -70,13 +64,6 @@ class CorrelatedDecoder final : public Decoder
     decodeEx(std::span<const std::uint32_t> syndrome,
              const DecodeContext &ctx,
              std::vector<std::uint32_t> *usedEdges);
-
-    std::uint32_t
-    decodeWithContext(std::span<const std::uint32_t> syndrome,
-                      const DecodeContext &ctx) override
-    {
-        return decodeEx(syndrome, ctx, nullptr);
-    }
 
     void reset() override
     {
@@ -99,7 +86,12 @@ class CorrelatedDecoder final : public Decoder
     std::uint64_t reweightedPasses() const { return secondPasses_; }
 
   private:
-    const DecodeGraph &graph_;
+    std::uint32_t decodeImpl(std::span<const std::uint32_t> syndrome,
+                             const DecodeContext &ctx) override
+    {
+        return decodeEx(syndrome, ctx, nullptr);
+    }
+
     FallbackDecoder inner_;
     std::unique_ptr<Predecoder> pre_;
     std::vector<std::uint32_t> residue_;  //!< post-peel syndrome

@@ -221,15 +221,45 @@ makeDecoder(DecoderKind kind, const DecodeGraph &graph,
 
 namespace {
 
-/** FNV-style content hash of a defect list (memo key; collisions
+/** Memo key over a shot's defects and fired heralds (collisions
  *  are resolved by a full compare, never trusted). */
 inline std::uint64_t
-hashSyndrome(std::span<const std::uint32_t> syn)
+hashShot(std::span<const std::uint32_t> syn,
+         std::span<const std::uint32_t> heralds)
 {
     std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ syn.size();
     for (std::uint32_t x : syn)
         h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    h ^= 0xc2b2ae3d27d4eb4fULL + heralds.size();
+    for (std::uint32_t c : heralds)
+        h ^= c + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
     return h;
+}
+
+/**
+ * Decode one heralded shot with every edge its fired channels can
+ * explain weighted zero.  scratch.weights holds the graph weights
+ * on entry and again on a normal return.
+ */
+std::uint32_t
+decodeHeralded(Decoder &dec, std::span<const std::uint32_t> syn,
+               std::span<const std::uint32_t> heralds,
+               BatchDecodeScratch &scratch)
+{
+    const DecodeGraph &graph = dec.graph();
+    for (std::uint32_t c : heralds)
+        for (std::uint32_t ei : graph.channelEdges(c))
+            if (scratch.weights[ei] != 0.0) {
+                scratch.touched.push_back(ei);
+                scratch.weights[ei] = 0.0;
+            }
+    DecodeContext ctx;
+    ctx.weights = scratch.weights;
+    const std::uint32_t predicted = dec.decode(syn, ctx);
+    for (std::uint32_t ei : scratch.touched)
+        scratch.weights[ei] = graph.edges()[ei].weight;
+    scratch.touched.clear();
+    return predicted;
 }
 
 /** One mixing step of the setup-key digests. */
@@ -287,6 +317,9 @@ decodeBatchSorted(Decoder &dec, const SyndromeBatch &batch,
     const std::uint64_t n = batch.shots();
     TRAQ_REQUIRE(out.size() >= n,
                  "decodeBatchSorted output must cover the batch");
+    TRAQ_REQUIRE(batch.heraldOffsets.empty() ||
+                     batch.heraldOffsets.size() == n + 1,
+                 "decodeBatchSorted herald CSR must match the batch");
     if (n == 0)
         return stats;
 
@@ -305,91 +338,69 @@ decodeBatchSorted(Decoder &dec, const SyndromeBatch &batch,
                                     batch.offsets[b];
                      });
 
-    if (!memo) {
-        // Rebuild the CSR in sorted order and decode it with the one
-        // virtual decodeBatch call (the pre-memo engine hot path).
-        scratch.sortedOffsets.assign(1, 0);
-        scratch.sortedDefects.clear();
-        scratch.sortedDefects.reserve(batch.defects.size());
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const auto syn = batch.syndrome(perm[i]);
-            scratch.sortedDefects.insert(scratch.sortedDefects.end(),
-                                         syn.begin(), syn.end());
-            scratch.sortedOffsets.push_back(
-                static_cast<std::uint32_t>(
-                    scratch.sortedDefects.size()));
-        }
-        const SyndromeBatch view{scratch.sortedOffsets,
-                                 scratch.sortedDefects};
-        scratch.predictedSorted.resize(n);
-        dec.decodeBatch(view, scratch.predictedSorted);
-        for (std::uint64_t i = 0; i < n; ++i)
-            out[perm[i]] = scratch.predictedSorted[i];
-        return stats;
-    }
-
-    // Memo path: collapse the batch to its distinct syndromes (CSR
-    // over "unique rows"), decode each once, replay everywhere else.
+    // Collapse the batch to its distinct (defects, heralds) rows in
+    // sorted order; each row is decoded once and replayed for every
+    // later shot that matches it.  With memo off every shot is its
+    // own row, which is the same decode sequence.
     scratch.memo.clear();
     scratch.uniqueOf.resize(n);
-    scratch.uniqueOffsets.assign(1, 0);
-    scratch.uniqueDefects.clear();
-    auto appendUnique =
-        [&](std::span<const std::uint32_t> syn) -> std::uint32_t {
-        scratch.uniqueDefects.insert(scratch.uniqueDefects.end(),
-                                     syn.begin(), syn.end());
-        scratch.uniqueOffsets.push_back(static_cast<std::uint32_t>(
-            scratch.uniqueDefects.size()));
-        return static_cast<std::uint32_t>(
-            scratch.uniqueOffsets.size() - 2);
-    };
+    scratch.uniqueShot.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
-        const auto syn = batch.syndrome(perm[i]);
-        auto [it, inserted] = scratch.memo.try_emplace(
-            hashSyndrome(syn),
-            static_cast<std::uint32_t>(scratch.uniqueOffsets.size() -
-                                       1));
-        if (inserted) {
-            scratch.uniqueOf[i] = appendUnique(syn);
-            continue;
+        const std::uint32_t s = perm[i];
+        const auto nextRow =
+            static_cast<std::uint32_t>(scratch.uniqueShot.size());
+        if (memo) {
+            const auto syn = batch.syndrome(s);
+            const auto heralds = batch.heralds(s);
+            auto [it, inserted] = scratch.memo.try_emplace(
+                hashShot(syn, heralds), nextRow);
+            if (!inserted) {
+                const std::uint32_t p = scratch.uniqueShot[it->second];
+                if (std::ranges::equal(syn, batch.syndrome(p)) &&
+                    std::ranges::equal(heralds, batch.heralds(p))) {
+                    ++stats.memoHits;
+                    scratch.uniqueOf[i] = it->second;
+                    continue;
+                }
+                // Hash collision: decode it as its own row.  The map
+                // keeps the first claimant, so later copies of *that*
+                // row still hit; later copies of this one re-collide
+                // and re-decode — correct, just not deduplicated.
+            }
         }
-        const std::uint32_t u = it->second;
-        const auto useen = std::span<const std::uint32_t>(
-            scratch.uniqueDefects.data() + scratch.uniqueOffsets[u],
-            scratch.uniqueOffsets[u + 1] - scratch.uniqueOffsets[u]);
-        if (useen.size() == syn.size() &&
-            std::equal(useen.begin(), useen.end(), syn.begin())) {
-            ++stats.memoHits;
-            scratch.uniqueOf[i] = u;
-        } else {
-            // Hash collision: decode it as its own row.  The map
-            // keeps the first claimant, so later copies of *that*
-            // syndrome still hit; later copies of this one re-collide
-            // and re-decode — correct, just not deduplicated.
-            scratch.uniqueOf[i] = appendUnique(syn);
-        }
+        scratch.uniqueOf[i] = nextRow;
+        scratch.uniqueShot.push_back(s);
     }
 
-    // Decode each distinct syndrome once, in first-occurrence order
+    // Herald-zeroed weights restart from the graph weights on every
+    // call, so a decode that threw in an earlier call cannot leave
+    // edges zeroed.
+    if (!batch.heraldIds.empty()) {
+        const auto &edges = dec.graph().edges();
+        scratch.weights.resize(edges.size());
+        for (std::size_t ei = 0; ei < edges.size(); ++ei)
+            scratch.weights[ei] = edges[ei].weight;
+        scratch.touched.clear();
+    }
+
+    // Decode each distinct row once, in first-occurrence order
     // (which inherits the defect-count sort), recording the counter
     // deltas the replayed shots must reproduce.  With tier 1 active,
-    // a distinct syndrome cached by an earlier batch replays instead
-    // of decoding — the cached deltas equal what the decode would
-    // have produced, so the accounting below cannot tell the
-    // difference.
-    const std::size_t numUnique = scratch.uniqueOffsets.size() - 1;
-    const SyndromeBatch uview{scratch.uniqueOffsets,
-                              scratch.uniqueDefects};
+    // a row cached by an earlier batch replays instead of decoding —
+    // the cached deltas equal what the decode would have produced,
+    // so the accounting below cannot tell the difference.
+    const std::size_t numUnique = scratch.uniqueShot.size();
     scratch.predictedUnique.resize(numUnique);
     scratch.uniqueFallbacks.resize(numUnique);
     scratch.uniquePeels.resize(numUnique);
     const std::uint64_t fbBase = dec.fallbacks();
     const std::uint64_t ppBase = dec.predecodedPairs();
     for (std::size_t u = 0; u < numUnique; ++u) {
-        const auto syn = uview.syndrome(u);
+        const auto syn = batch.syndrome(scratch.uniqueShot[u]);
+        const auto heralds = batch.heralds(scratch.uniqueShot[u]);
         if (global != nullptr) {
             GlobalDecodeMemo::Value v;
-            if (global->lookup(setup, syn, {}, v)) {
+            if (global->lookup(setup, syn, heralds, v)) {
                 scratch.predictedUnique[u] = v.predicted;
                 scratch.uniqueFallbacks[u] = v.fallbacks;
                 scratch.uniquePeels[u] = v.peels;
@@ -399,12 +410,15 @@ decodeBatchSorted(Decoder &dec, const SyndromeBatch &batch,
         }
         const std::uint64_t fb0 = dec.fallbacks();
         const std::uint64_t pp0 = dec.predecodedPairs();
-        scratch.predictedUnique[u] = dec.decodeSpan(syn);
+        scratch.predictedUnique[u] =
+            heralds.empty()
+                ? dec.decode(syn)
+                : decodeHeralded(dec, syn, heralds, scratch);
         scratch.uniqueFallbacks[u] = dec.fallbacks() - fb0;
         scratch.uniquePeels[u] = dec.predecodedPairs() - pp0;
         if (global != nullptr)
             global->insert(
-                setup, syn, {},
+                setup, syn, heralds,
                 {scratch.predictedUnique[u],
                  static_cast<std::uint32_t>(
                      scratch.uniqueFallbacks[u]),

@@ -179,7 +179,13 @@ struct DecoderConfig
  * flipped detectors are defects[offsets[s] .. offsets[s+1]),
  * ascending.  This is the decoder-side shape of sim::SyndromeBlock
  * (spans, so the decoder layer needs no sim dependency) and the
- * input of Decoder::decodeBatch.
+ * input of decodeBatchSorted().
+ *
+ * The herald CSR is optional: when heraldOffsets is non-empty, shot
+ * s's fired herald channels (DecodeGraph::channelEdges ids) are
+ * heraldIds[heraldOffsets[s] .. heraldOffsets[s+1]), and
+ * decodeBatchSorted() decodes every heralded shot erasure-aware.
+ * Left empty, no shot is heralded.
  */
 struct SyndromeBatch
 {
@@ -187,6 +193,10 @@ struct SyndromeBatch
     std::span<const std::uint32_t> offsets;
     /** Flipped detector ids, shot-major, ascending within a shot. */
     std::span<const std::uint32_t> defects;
+    /** Herald CSR row starts; empty or size shots() + 1. */
+    std::span<const std::uint32_t> heraldOffsets{};
+    /** Fired herald channel ids, shot-major, ascending per shot. */
+    std::span<const std::uint32_t> heraldIds{};
 
     std::uint64_t shots() const
     {
@@ -198,70 +208,62 @@ struct SyndromeBatch
         return {defects.data() + offsets[s],
                 offsets[s + 1] - offsets[s]};
     }
+
+    /** Shot s's fired herald channels (empty without a herald CSR). */
+    std::span<const std::uint32_t> heralds(std::uint64_t s) const
+    {
+        if (heraldOffsets.empty())
+            return {};
+        return {heraldIds.data() + heraldOffsets[s],
+                heraldOffsets[s + 1] - heraldOffsets[s]};
+    }
 };
 
-/** Abstract decoder over a fixed decode graph. */
+/**
+ * Abstract decoder over a fixed decode graph.  Concrete decoders
+ * implement the one virtual decode method, decodeImpl(); callers go
+ * through the non-virtual decode().
+ */
 class Decoder
 {
   public:
+    explicit Decoder(const DecodeGraph &graph) : graph_(graph) {}
     virtual ~Decoder() = default;
 
     /**
-     * Decode one syndrome (flipped detector ids, ascending).
+     * Decode one syndrome (flipped detector ids, ascending) under
+     * per-shot context overrides.  An empty context (the default)
+     * decodes on the graph weights with no round horizon; the
+     * erasure-aware path passes weights with every edge a fired
+     * herald channel can explain zeroed (see decodeBatchSorted).
      * @return predicted logical-observable flip mask.
      */
-    virtual std::uint32_t
-    decode(const std::vector<std::uint32_t> &syndrome) = 0;
-
-    /**
-     * Span-based decode, bit-identical to decode().  The base
-     * implementation copies into a reused scratch vector and calls
-     * decode(), so subclasses that only override decode() (external
-     * registrations, test doubles) keep working; the built-in
-     * decoders override this to skip the copy.
-     */
-    virtual std::uint32_t
-    decodeSpan(std::span<const std::uint32_t> syndrome)
+    std::uint32_t decode(std::span<const std::uint32_t> syndrome,
+                         const DecodeContext &ctx = {})
     {
-        spanScratch_.assign(syndrome.begin(), syndrome.end());
-        return decode(spanScratch_);
+        return decodeImpl(syndrome, ctx);
     }
 
     /**
-     * Decode a whole batch of syndromes, writing out[s] for shot s
-     * (out.size() >= batch.shots()).  Defined as the shot loop over
-     * decodeSpan() — bit-identical to per-shot decoding by
-     * construction, for any override of the per-shot entry points —
-     * and the engine's hot-path entry: one virtual call per batch,
-     * arena scratch staying warm across the N shots.
+     * Aliases of decode() kept only because the repository
+     * benchmark's engine replay (perfbench/src/replay.cc) calls them
+     * and its sources change only together with the benchmark
+     * definition.  Nothing else calls them; remove them with the
+     * next benchmark revision.
      */
-    virtual void decodeBatch(const SyndromeBatch &batch,
-                             std::span<std::uint32_t> out)
+    std::uint32_t decodeSpan(std::span<const std::uint32_t> syndrome)
     {
-        const std::uint64_t n = batch.shots();
-        for (std::uint64_t s = 0; s < n; ++s)
-            out[s] = decodeSpan(batch.syndrome(s));
+        return decode(syndrome);
     }
-
-    /**
-     * Decode one syndrome under per-shot context overrides — the
-     * erasure-aware entry point.  The engine zeroes the weights of
-     * edges explainable by fired herald channels and hands the
-     * override span in here; every built-in decoder kind overrides
-     * this to thread the context through its matching passes.  The
-     * base implementation only accepts an empty context (it routes
-     * to decodeSpan), so external registrations that predate the
-     * context stay correct rather than silently ignoring overrides.
-     */
-    virtual std::uint32_t
+    std::uint32_t
     decodeWithContext(std::span<const std::uint32_t> syndrome,
                       const DecodeContext &ctx)
     {
-        TRAQ_REQUIRE(ctx.weights.empty() && ctx.maxRound < 0,
-                     "decodeWithContext: this decoder does not "
-                     "support context overrides");
-        return decodeSpan(syndrome);
+        return decode(syndrome, ctx);
     }
+
+    /** The graph this decoder decodes on. */
+    const DecodeGraph &graph() const { return graph_; }
 
     /** Clear per-run statistics (fallback counters etc.). */
     virtual void reset() {}
@@ -276,8 +278,14 @@ class Decoder
      *  reset(); 0 when predecode is off or unsupported. */
     virtual std::uint64_t predecodedPairs() const { return 0; }
 
+  protected:
+    const DecodeGraph &graph_;
+
   private:
-    std::vector<std::uint32_t> spanScratch_;
+    /** The decode itself; see decode(). */
+    virtual std::uint32_t
+    decodeImpl(std::span<const std::uint32_t> syndrome,
+               const DecodeContext &ctx) = 0;
 };
 
 /**
@@ -311,7 +319,7 @@ struct BatchDecodeStats
     /** Shots answered by replaying a memoized correction. */
     std::uint64_t memoHits = 0;
     /**
-     * Distinct syndromes of this batch answered from the
+     * Distinct rows of this batch answered from the
      * process-global memo (tier 1) instead of decoding.  Unlike the
      * deterministic per-batch counters this depends on what other
      * batches/threads cached first, so it is reported separately and
@@ -334,45 +342,54 @@ struct BatchDecodeStats
  * Reusable scratch for decodeBatchSorted().  All vectors keep their
  * capacity warm across batches; the memo map is cleared per call (the
  * memo key space is one batch — recurring syndromes across batches
- * are re-decoded, which keeps the map small and the arena per-run).
+ * are re-decoded unless the process-global tier has them).
  */
 struct BatchDecodeScratch
 {
     std::vector<std::uint32_t> perm;
-    std::vector<std::uint32_t> sortedOffsets;
-    std::vector<std::uint32_t> sortedDefects;
-    std::vector<std::uint32_t> predictedSorted;
-    // Memo path: CSR over the batch's distinct syndromes plus the
-    // per-unique decode results and counter deltas to replay.
+    // Distinct (defects, heralds) rows of the batch: each sorted
+    // position's row, each row's first shot, and the per-row decode
+    // results and counter deltas to replay.
     std::vector<std::uint32_t> uniqueOf;
-    std::vector<std::uint32_t> uniqueOffsets;
-    std::vector<std::uint32_t> uniqueDefects;
+    std::vector<std::uint32_t> uniqueShot;
     std::vector<std::uint32_t> predictedUnique;
     std::vector<std::uint64_t> uniqueFallbacks;
     std::vector<std::uint64_t> uniquePeels;
     std::unordered_map<std::uint64_t, std::uint32_t> memo;
+    // Herald path: graph weights with the fired channels' edges
+    // zeroed for the shot being decoded, and the edges to restore.
+    std::vector<double> weights;
+    std::vector<std::uint32_t> touched;
 };
 
 /**
  * Decode a batch in ascending-defect-count order, optionally
- * memoizing by syndrome content.
+ * memoizing by syndrome content — the one batch decode path, for
+ * heralded and plain shots alike.
  *
  * Shots are stable-sorted by defect count (cheap shots first: warms
  * the decoder's arena scratch and the MWPM reach cache on the easy
  * mass of the distribution) and results are scattered back to shot
- * order, so out[s] is bit-identical to decoding shot s directly —
- * the engine's sorted hot path, now reusable by benches and tests.
+ * order, so out[s] is bit-identical to decoding shot s directly.
  *
- * With memo on, shots whose defect list matches an earlier shot of
- * the same batch replay that shot's correction instead of decoding
- * (hash-keyed, with a full content compare on hit, so a hash
- * collision degrades to a duplicate decode, never a wrong replay).
- * Counter deltas (fallbacks, predecoded pairs) recorded for each
- * distinct syndrome are replayed too — see BatchDecodeStats — so
- * every observable statistic is identical memo on/off.
+ * A shot with fired heralds (batch.heralds(s) non-empty) is decoded
+ * erasure-aware: under a DecodeContext whose weights zero every edge
+ * those channels can explain (an erased qubit's replacement Pauli is
+ * uniformly random, so its edges carry no evidence cost).  Context
+ * decodes bypass the MWPM reach cache, so no result depends on the
+ * order shots are decoded in.
  *
- * With @p global non-null (requires memo on), each distinct syndrome
- * is first looked up in the process-global memo under @p setup
+ * With memo on, shots whose (defects, heralds) match an earlier shot
+ * of the same batch replay that shot's correction instead of
+ * decoding (hash-keyed, with a full content compare on hit, so a
+ * hash collision degrades to a duplicate decode, never a wrong
+ * replay).  Counter deltas (fallbacks, predecoded pairs) recorded
+ * for each distinct row are replayed too — see BatchDecodeStats — so
+ * every observable statistic is identical memo on/off.  With memo
+ * off every shot is its own row.
+ *
+ * With @p global non-null (requires memo on), each distinct row is
+ * first looked up in the process-global memo under @p setup
  * (tier 1): hits replay the cached correction and counter deltas,
  * misses decode and insert.  Because cached values equal what the
  * decode would have produced, out/tallies stay bit-identical for

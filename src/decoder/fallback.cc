@@ -6,24 +6,13 @@ FallbackDecoder::FallbackDecoder(const DecodeGraph &graph,
                                  std::size_t mwpmMaxDefects,
                                  bool predecode, int predecodeRadius,
                                  bool reachCache)
-    : mwpm_(graph, mwpmMaxDefects, /*predecode=*/false,
+    : Decoder(graph),
+      mwpm_(graph, mwpmMaxDefects, /*predecode=*/false,
             /*predecodeRadius=*/2, reachCache),
       uf_(graph)
 {
     if (predecode)
         pre_ = std::make_unique<Predecoder>(graph, predecodeRadius);
-}
-
-std::uint32_t
-FallbackDecoder::decode(const std::vector<std::uint32_t> &syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
-}
-
-std::uint32_t
-FallbackDecoder::decodeSpan(std::span<const std::uint32_t> syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
 }
 
 std::uint32_t

@@ -44,24 +44,11 @@ class FallbackDecoder final : public Decoder
                     bool predecode = false, int predecodeRadius = 2,
                     bool reachCache = false);
 
-    std::uint32_t
-    decode(const std::vector<std::uint32_t> &syndrome) override;
-
-    std::uint32_t
-    decodeSpan(std::span<const std::uint32_t> syndrome) override;
-
     /** Context-aware decode (see Decoder clients of DecodeGraph). */
     std::uint32_t
     decodeEx(std::span<const std::uint32_t> syndrome,
              const DecodeContext &ctx,
              std::vector<std::uint32_t> *usedEdges);
-
-    std::uint32_t
-    decodeWithContext(std::span<const std::uint32_t> syndrome,
-                      const DecodeContext &ctx) override
-    {
-        return decodeEx(syndrome, ctx, nullptr);
-    }
 
     void reset() override
     {
@@ -78,6 +65,12 @@ class FallbackDecoder final : public Decoder
     }
 
   private:
+    std::uint32_t decodeImpl(std::span<const std::uint32_t> syndrome,
+                             const DecodeContext &ctx) override
+    {
+        return decodeEx(syndrome, ctx, nullptr);
+    }
+
     MwpmDecoder mwpm_;
     UnionFindDecoder uf_;
     std::unique_ptr<Predecoder> pre_;

@@ -20,9 +20,10 @@
  * why the hot path is SoA end-to-end: each batch is extracted
  * straight from its lane-major bit planes into a CSR SyndromeBlock
  * (via the runtime-dispatched transpose kernels of sim/frame) and
- * decoded through decodeBatchSorted — ascending defect count, with
- * repeated syndromes replayed from the per-batch memo — so the
- * decoder's arena scratch stays warm across the whole block.
+ * decoded by one decodeBatchSorted call — ascending defect count,
+ * repeated (defects, heralds) rows replayed from the per-batch memo,
+ * heralded shots decoded erasure-aware — so the decoder's arena
+ * scratch stays warm across the whole block.
  */
 
 #ifndef TRAQ_DECODER_MONTE_CARLO_HH

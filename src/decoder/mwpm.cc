@@ -33,7 +33,7 @@ ctxHides(const GraphEdge &e, const DecodeContext &ctx)
 MwpmDecoder::MwpmDecoder(const DecodeGraph &graph,
                          std::size_t maxDefects, bool predecode,
                          int predecodeRadius, bool reachCache)
-    : graph_(graph), maxDefects_(maxDefects), reachCache_(reachCache)
+    : Decoder(graph), maxDefects_(maxDefects), reachCache_(reachCache)
 {
     TRAQ_REQUIRE(maxDefects_ <= 22,
                  "bitmask matching is limited to 22 defects");
@@ -241,18 +241,6 @@ MwpmDecoder::ensureSlot(std::uint32_t source, const DecodeContext &ctx)
     slot.boundaryNode = searchBoundaryNode_;
     slot.boundaryEdge = searchBoundaryEdge_;
     return slot;
-}
-
-std::uint32_t
-MwpmDecoder::decode(const std::vector<std::uint32_t> &syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
-}
-
-std::uint32_t
-MwpmDecoder::decodeSpan(std::span<const std::uint32_t> syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
 }
 
 std::uint32_t

@@ -89,35 +89,18 @@ class MwpmDecoder final : public Decoder
     }
 
     /**
-     * Decode one syndrome.  Throws FatalError above the cap (use
+     * Decode under a context (reweighted edges and/or a round
+     * horizon).  Throws FatalError above the cap (use
      * FallbackDecoder when syndromes may exceed it) and when the
      * syndrome cannot be matched at all — e.g. a defect whose every
-     * edge a round horizon hides.
-     * @return predicted logical-observable flip mask.
-     */
-    std::uint32_t
-    decode(const std::vector<std::uint32_t> &syndrome) override;
-
-    std::uint32_t
-    decodeSpan(std::span<const std::uint32_t> syndrome) override;
-
-    /**
-     * Decode under a context (reweighted edges and/or a round
-     * horizon).  If usedEdges is non-null the edges traversed by the
-     * matched correction are appended to it (unsorted, duplicates
-     * possible when two paths share an edge).
+     * edge a round horizon hides.  If usedEdges is non-null the
+     * edges traversed by the matched correction are appended to it
+     * (unsorted, duplicates possible when two paths share an edge).
      */
     std::uint32_t
     decodeEx(std::span<const std::uint32_t> syndrome,
              const DecodeContext &ctx,
              std::vector<std::uint32_t> *usedEdges);
-
-    std::uint32_t
-    decodeWithContext(std::span<const std::uint32_t> syndrome,
-                      const DecodeContext &ctx) override
-    {
-        return decodeEx(syndrome, ctx, nullptr);
-    }
 
     void reset() override
     {
@@ -142,7 +125,12 @@ class MwpmDecoder final : public Decoder
     }
 
   private:
-    const DecodeGraph &graph_;
+    std::uint32_t decodeImpl(std::span<const std::uint32_t> syndrome,
+                             const DecodeContext &ctx) override
+    {
+        return decodeEx(syndrome, ctx, nullptr);
+    }
+
     std::size_t maxDefects_;
     std::unique_ptr<Predecoder> pre_;
     std::vector<std::uint32_t> residue_;  //!< post-peel syndrome

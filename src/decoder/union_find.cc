@@ -21,7 +21,7 @@ UnionFindDecoder::quantize(double w)
 UnionFindDecoder::UnionFindDecoder(const DecodeGraph &graph,
                                    bool predecode,
                                    int predecodeRadius)
-    : graph_(graph)
+    : Decoder(graph)
 {
     if (predecode)
         pre_ = std::make_unique<Predecoder>(graph_, predecodeRadius);
@@ -96,18 +96,6 @@ UnionFindDecoder::unite(std::int32_t a, std::int32_t b)
     touchesBoundary_[a] |= touchesBoundary_[b];
     if (rankArr_[a] == rankArr_[b])
         ++rankArr_[a];
-}
-
-std::uint32_t
-UnionFindDecoder::decode(const std::vector<std::uint32_t> &syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
-}
-
-std::uint32_t
-UnionFindDecoder::decodeSpan(std::span<const std::uint32_t> syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
 }
 
 std::uint32_t

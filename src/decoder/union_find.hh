@@ -19,8 +19,8 @@
  * only if its stamp matches the current decode's epoch, so a decode
  * touches O(syndrome neighborhood) memory instead of re-clearing
  * O(nodes + edges) arrays — the property that makes batch decoding
- * (decodeBatch over a whole sampler block) scale with defect count,
- * not graph size.
+ * (decodeBatchSorted over a whole sampler block) scale with defect
+ * count, not graph size.
  */
 
 #ifndef TRAQ_DECODER_UNION_FIND_HH
@@ -54,16 +54,6 @@ class UnionFindDecoder final : public Decoder
                               int predecodeRadius = 2);
 
     /**
-     * Decode one syndrome (list of flipped detector ids).
-     * @return the predicted logical-observable flip mask.
-     */
-    std::uint32_t
-    decode(const std::vector<std::uint32_t> &syndrome) override;
-
-    std::uint32_t
-    decodeSpan(std::span<const std::uint32_t> syndrome) override;
-
-    /**
      * Decode under a context.  Non-default weights are requantized
      * per call (an O(edges) pass — acceptable because composite
      * decoders only route the rare oversized syndromes here).  If
@@ -74,13 +64,6 @@ class UnionFindDecoder final : public Decoder
     decodeEx(std::span<const std::uint32_t> syndrome,
              const DecodeContext &ctx,
              std::vector<std::uint32_t> *usedEdges);
-
-    std::uint32_t
-    decodeWithContext(std::span<const std::uint32_t> syndrome,
-                      const DecodeContext &ctx) override
-    {
-        return decodeEx(syndrome, ctx, nullptr);
-    }
 
     void reset() override
     {
@@ -94,7 +77,12 @@ class UnionFindDecoder final : public Decoder
     }
 
   private:
-    const DecodeGraph &graph_;
+    std::uint32_t decodeImpl(std::span<const std::uint32_t> syndrome,
+                             const DecodeContext &ctx) override
+    {
+        return decodeEx(syndrome, ctx, nullptr);
+    }
+
     std::unique_ptr<Predecoder> pre_;
     std::vector<std::uint32_t> residue_;  //!< post-peel syndrome
     std::vector<std::uint32_t> edgeWeightQ_;  //!< quantized weights

@@ -11,7 +11,7 @@ WindowedDecoder::WindowedDecoder(const DecodeGraph &graph,
     // Windowed passes decode under a round horizon, which bypasses
     // the reach cache; only the short-circuit full-history decode
     // (syndromes confined to the first window) benefits from it.
-    : graph_(graph),
+    : Decoder(graph),
       inner_(graph, config.mwpmMaxDefects, /*predecode=*/false,
              /*predecodeRadius=*/2,
              resolveReachCache(config.reachCache)),
@@ -27,20 +27,8 @@ WindowedDecoder::WindowedDecoder(const DecodeGraph &graph,
 }
 
 std::uint32_t
-WindowedDecoder::decode(const std::vector<std::uint32_t> &syndrome)
-{
-    return decodeSpan(syndrome);
-}
-
-std::uint32_t
-WindowedDecoder::decodeSpan(std::span<const std::uint32_t> syndrome)
-{
-    return decodeWithContext(syndrome, {});
-}
-
-std::uint32_t
-WindowedDecoder::decodeWithContext(
-    std::span<const std::uint32_t> syndrome, const DecodeContext &ctx)
+WindowedDecoder::decodeImpl(std::span<const std::uint32_t> syndrome,
+                            const DecodeContext &ctx)
 {
     TRAQ_REQUIRE(ctx.maxRound < 0,
                  "windowed decoder owns the round horizon");
@@ -75,8 +63,23 @@ WindowedDecoder::decodeWithContext(
     // Candidate pending nodes; parity_ is the source of truth,
     // entries may be stale or duplicated.
     pending_.assign(syn.begin(), syn.end());
+    try {
+        return preCorrection ^ streamWindows(ctx);
+    } catch (...) {
+        // An unmatchable window throws mid-run.  Every node whose
+        // parity was toggled is in pending_, so clearing those
+        // restores the all-zero invariant for the next call.
+        for (std::uint32_t d : pending_)
+            parity_[d] = 0;
+        throw;
+    }
+}
 
-    std::uint32_t correction = preCorrection;
+std::uint32_t
+WindowedDecoder::streamWindows(const DecodeContext &ctx)
+{
+    const int rounds = graph_.numRounds();
+    std::uint32_t correction = 0;
     for (int base = 0;; base += commit_) {
         const int horizon = base + window_ - 1;
         const bool last = horizon >= rounds - 1;

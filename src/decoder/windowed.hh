@@ -54,22 +54,6 @@ class WindowedDecoder final : public Decoder
     WindowedDecoder(const DecodeGraph &graph,
                     const DecoderConfig &config);
 
-    std::uint32_t
-    decode(const std::vector<std::uint32_t> &syndrome) override;
-
-    std::uint32_t
-    decodeSpan(std::span<const std::uint32_t> syndrome) override;
-
-    /**
-     * Context-aware decode: per-edge weight overrides (the
-     * erasure-aware path) apply to every window's inner decode; the
-     * streaming round horizon stays this decoder's own (a caller
-     * maxRound is rejected — the window schedule owns it).
-     */
-    std::uint32_t
-    decodeWithContext(std::span<const std::uint32_t> syndrome,
-                      const DecodeContext &ctx) override;
-
     void reset() override
     {
         inner_.reset();
@@ -91,7 +75,19 @@ class WindowedDecoder final : public Decoder
     std::uint64_t windowsDecoded() const { return windowsDecoded_; }
 
   private:
-    const DecodeGraph &graph_;
+    /**
+     * Per-edge weight overrides (the erasure-aware path) apply to
+     * every window's inner decode; the streaming round horizon stays
+     * this decoder's own (a caller maxRound is rejected — the window
+     * schedule owns it).
+     */
+    std::uint32_t decodeImpl(std::span<const std::uint32_t> syndrome,
+                             const DecodeContext &ctx) override;
+
+    /** Run the window schedule over the defects staged in parity_
+     *  and pending_; returns the committed correction. */
+    std::uint32_t streamWindows(const DecodeContext &ctx);
+
     FallbackDecoder inner_;
     std::unique_ptr<Predecoder> pre_;
     std::vector<std::uint32_t> residue_;  //!< post-peel syndrome

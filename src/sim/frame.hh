@@ -94,7 +94,8 @@ struct FrameBatch
  * in ascending order; observables[s] is the shot's logical flip
  * mask (bit k = observable k).  All three arrays are flat and reused
  * across batches, so a warm extraction performs no heap allocation —
- * this is what the decoders' decodeBatch entry point consumes.
+ * this is what decoder::decodeBatchSorted consumes (through a
+ * decoder::SyndromeBatch view, herald CSR included).
  */
 struct SyndromeBlock
 {

@@ -246,7 +246,7 @@ TEST(GlobalMemo, CapacityEvictionKeepsCorrectionsBitIdentical)
                                        *fixture.graph, cfg);
     std::vector<std::uint32_t> ref(n);
     for (std::uint64_t s = 0; s < n; ++s)
-        ref[s] = decRef->decodeSpan(view.syndrome(s));
+        ref[s] = decRef->decode(view.syndrome(s));
 
     // A pathologically small global tier: one entry per shard, so
     // inserts evict almost every batch.  Decode the batch twice —

@@ -215,6 +215,48 @@ TEST(WindowedDecoder, RunsThroughMonteCarloEngine)
               refRes.anyObservable.hits);
 }
 
+TEST(WindowedDecoder, ReusableAfterUnmatchableWindowThrows)
+{
+    // A time-like chain: detector i sits in round i and only the
+    // last one reaches the boundary.  With a 2-round window a lone
+    // early defect sees no boundary and no partner, so the window
+    // decode throws partway through the stream; the same instance
+    // must then decode like a fresh one.
+    const int n = 6;
+    sim::DetectorErrorModel dem;
+    dem.numDetectors = n;
+    dem.numObservables = 1;
+    for (int i = 0; i + 1 < n; ++i) {
+        sim::ErrorMechanism m;
+        m.probability = 0.01;
+        m.detectors = {static_cast<std::uint32_t>(i),
+                       static_cast<std::uint32_t>(i + 1)};
+        dem.errors.push_back(m);
+    }
+    sim::ErrorMechanism exit;
+    exit.probability = 0.01;
+    exit.detectors = {static_cast<std::uint32_t>(n - 1)};
+    exit.observables = 1;
+    dem.errors.push_back(exit);
+    codes::CircuitMeta meta;
+    meta.detectorIsX.assign(n, 0);
+    meta.observableIsX.assign(1, 0);
+    for (int i = 0; i < n; ++i)
+        meta.detectorRound.push_back(i);
+    const DecodeGraph g = DecodeGraph::fromDem(dem, meta);
+    DecoderConfig cfg;
+    cfg.windowRounds = 2;
+    cfg.commitRounds = 1;
+
+    const std::vector<std::uint32_t> lone{0}, pair{0, 1};
+    WindowedDecoder fresh(g, cfg);
+    EXPECT_EQ(fresh.decode(pair), 0u);
+
+    WindowedDecoder reused(g, cfg);
+    EXPECT_THROW(reused.decode(lone), FatalError);
+    EXPECT_EQ(reused.decode(pair), 0u);
+}
+
 TEST(WindowedDecoder, RejectsBadWindowConfig)
 {
     codes::SurfaceCode sc(3);

@@ -26,8 +26,10 @@
 #include "src/common/assert.hh"
 #include "src/common/word.hh"
 #include "src/decoder/decoder.hh"
+#include "src/decoder/global_memo.hh"
 #include "src/decoder/monte_carlo.hh"
 #include "src/noise/noise.hh"
+#include "src/sim/dem.hh"
 #include "src/sim/frame.hh"
 #include "src/sim/frame_kernels.hh"
 
@@ -344,6 +346,108 @@ struct SampledBatch
     std::unique_ptr<decoder::DecodeGraph> graph;
 };
 
+/**
+ * d=5 transversal-CNOT shots under atom loss (noise.atom-loss.p =
+ * 0.005, so nearly every shot is heralded) in CSR with their herald
+ * lists, capped at `maxDefects` so the bare MWPM kind accepts every
+ * row.  The first `copies` rows are appended twice more: once as
+ * is (per-batch memo hits) and once with the heralds dropped (same
+ * defects, a different memo key and decode).
+ */
+struct HeraldedBatch
+{
+    std::vector<std::uint32_t> offsets{0};
+    std::vector<std::uint32_t> defects;
+    std::vector<std::uint32_t> heraldOffsets{0};
+    std::vector<std::uint32_t> heraldIds;
+
+    HeraldedBatch(std::size_t maxDefects, std::size_t copies)
+    {
+        codes::TransversalCnotSpec spec;
+        spec.distance = 5;
+        spec.cnotLayers = 4;
+        spec.noise = codes::NoiseParams::uniform(1e-3);
+        exp = std::make_unique<codes::Experiment>(
+            codes::buildTransversalCnot(spec));
+        noise::NoiseSpec loss;
+        loss.setFlat("noise.atom-loss.p", 0.005);
+        const sim::Circuit circuit =
+            noise::NoiseModel::fromSpec(loss).compile(exp->circuit);
+        graph = std::make_unique<decoder::DecodeGraph>(
+            decoder::DecodeGraph::fromDem(sim::buildDem(circuit),
+                                          exp->meta));
+        sim::FrameSimulator fs(33, 4, CpuDispatch::Baseline);
+        sim::FrameBatch batch;
+        sim::SyndromeBlock block;
+        const std::vector<std::uint64_t> live(4, ~0ULL);
+        fs.sampleInto(circuit, batch);
+        sim::extractSyndromeBlock(batch, live, block);
+        for (std::uint64_t s = 0; s < block.shots(); ++s)
+            if (block.syndrome(s).size() <= maxDefects)
+                add(block.syndrome(s), block.heralds(s));
+        for (bool keepHeralds : {true, false})
+            for (std::size_t r = 0; r < copies; ++r) {
+                const std::vector<std::uint32_t> syn(
+                    view().syndrome(r).begin(),
+                    view().syndrome(r).end());
+                std::vector<std::uint32_t> her;
+                if (keepHeralds)
+                    her.assign(view().heralds(r).begin(),
+                               view().heralds(r).end());
+                add(syn, her);
+            }
+    }
+
+    void add(std::span<const std::uint32_t> syn,
+             std::span<const std::uint32_t> heralds)
+    {
+        defects.insert(defects.end(), syn.begin(), syn.end());
+        offsets.push_back(static_cast<std::uint32_t>(defects.size()));
+        heraldIds.insert(heraldIds.end(), heralds.begin(),
+                         heralds.end());
+        heraldOffsets.push_back(
+            static_cast<std::uint32_t>(heraldIds.size()));
+    }
+
+    decoder::SyndromeBatch view() const
+    {
+        decoder::SyndromeBatch b;
+        b.offsets = offsets;
+        b.defects = defects;
+        b.heraldOffsets = heraldOffsets;
+        b.heraldIds = heraldIds;
+        return b;
+    }
+    std::uint64_t shots() const { return offsets.size() - 1; }
+
+    /** Shot-order reference: decode(syn, ctx) with every edge a
+     *  fired channel can explain weighted zero. */
+    std::vector<std::uint32_t> decodePerShot(decoder::Decoder &dec) const
+    {
+        const auto b = view();
+        std::vector<std::uint32_t> out(shots());
+        for (std::uint64_t s = 0; s < shots(); ++s) {
+            if (b.heralds(s).empty()) {
+                out[s] = dec.decode(b.syndrome(s));
+                continue;
+            }
+            std::vector<double> w;
+            for (const auto &e : graph->edges())
+                w.push_back(e.weight);
+            for (std::uint32_t c : b.heralds(s))
+                for (std::uint32_t ei : graph->channelEdges(c))
+                    w[ei] = 0.0;
+            decoder::DecodeContext ctx;
+            ctx.weights = w;
+            out[s] = dec.decode(b.syndrome(s), ctx);
+        }
+        return out;
+    }
+
+    std::unique_ptr<codes::Experiment> exp;
+    std::unique_ptr<decoder::DecodeGraph> graph;
+};
+
 TEST(DecodeBatchSorted, MemoOnOffBitIdenticalForAllKinds)
 {
     const SampledBatch fixture(12);
@@ -366,7 +470,7 @@ TEST(DecodeBatchSorted, MemoOnOffBitIdenticalForAllKinds)
         // Reference: straight per-shot decoding in shot order.
         std::vector<std::uint32_t> ref(n);
         for (std::uint64_t s = 0; s < n; ++s)
-            ref[s] = decPlain->decodeSpan(view.syndrome(s));
+            ref[s] = decPlain->decode(view.syndrome(s));
 
         decoder::BatchDecodeScratch scratch;
         std::vector<std::uint32_t> outOff(n), outOn(n);
@@ -388,6 +492,67 @@ TEST(DecodeBatchSorted, MemoOnOffBitIdenticalForAllKinds)
                   decOff->predecodedPairs())
             << name;
     }
+
+    // Heralded input: the driver's erasure-aware path, memo off/on
+    // and process-global memo off/cold/warm, against per-shot
+    // context decodes in shot order.
+    const std::size_t copies = 16;
+    const HeraldedBatch heralded(16, copies);
+    const auto hview = heralded.view();
+    const std::uint64_t hn = heralded.shots();
+    ASSERT_GT(hn, 64u + 2 * copies) << "too few rows under the cap";
+    ASSERT_GT(heralded.heraldIds.size(), 0u);
+    decoder::GlobalDecodeMemo global;
+    for (decoder::DecoderKind kind :
+         decoder::registeredDecoderKinds()) {
+        decoder::DecoderConfig cfg;
+        cfg.predecode = 1;
+        const char *name = decoder::decoderKindName(kind);
+        auto decRef =
+            decoder::makeDecoder(kind, *heralded.graph, cfg);
+        const auto ref = heralded.decodePerShot(*decRef);
+        const auto key =
+            decoder::decodeSetupKey(*heralded.graph, kind, cfg);
+        const struct
+        {
+            const char *label;
+            bool memo;
+            decoder::GlobalDecodeMemo *global;
+            bool warm;
+        } legs[] = {{"memo off", false, nullptr, false},
+                    {"memo on", true, nullptr, false},
+                    {"global cold", true, &global, false},
+                    {"global warm", true, &global, true}};
+        decoder::BatchDecodeScratch scratch;
+        for (const auto &leg : legs) {
+            auto dec = decoder::makeDecoder(kind, *heralded.graph, cfg);
+            std::vector<std::uint32_t> out(hn);
+            const auto st = decoder::decodeBatchSorted(
+                *dec, hview, out, scratch, leg.memo, leg.global, key);
+            EXPECT_EQ(out, ref) << name << ", " << leg.label;
+            EXPECT_EQ(dec->fallbacks() + st.replayedFallbacks,
+                      decRef->fallbacks())
+                << name << ", " << leg.label;
+            EXPECT_EQ(dec->predecodedPairs() + st.replayedPeels,
+                      decRef->predecodedPairs())
+                << name << ", " << leg.label;
+            if (leg.memo)
+                EXPECT_GE(st.memoHits, copies) << name << ", "
+                                               << leg.label;
+            else
+                EXPECT_EQ(st.memoHits, 0u) << name;
+            if (leg.global == nullptr)
+                EXPECT_EQ(st.globalHits, 0u) << name;
+            if (leg.warm) {
+                // Every row was cached by the cold leg, so each shot
+                // is a memo or a global hit and nothing decodes.
+                EXPECT_EQ(st.memoHits + st.globalHits, hn) << name;
+                EXPECT_EQ(dec->fallbacks() + dec->predecodedPairs(),
+                          0u)
+                    << name;
+            }
+        }
+    }
 }
 
 TEST(ReachCache, OnOffBitIdenticalForAllKinds)
@@ -405,8 +570,8 @@ TEST(ReachCache, OnOffBitIdenticalForAllKinds)
         auto decOff =
             decoder::makeDecoder(kind, *fixture.graph, off);
         for (std::uint64_t s = 0; s < n; ++s)
-            EXPECT_EQ(decOn->decodeSpan(view.syndrome(s)),
-                      decOff->decodeSpan(view.syndrome(s)))
+            EXPECT_EQ(decOn->decode(view.syndrome(s)),
+                      decOff->decode(view.syndrome(s)))
                 << decoder::decoderKindName(kind) << " shot " << s;
     }
 }

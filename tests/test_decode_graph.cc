@@ -170,7 +170,8 @@ TEST(DecodeGraph, ContextWeightOverrideRedirectsMatching)
     DecodeGraph g = DecodeGraph::fromDem(dem, meta);
     MwpmDecoder dec(g);
 
-    EXPECT_EQ(dec.decode({0, 2}), 0u);  // through-path, no flip
+    // Through-path, no flip.
+    EXPECT_EQ(dec.decode(std::vector<std::uint32_t>{0, 2}), 0u);
 
     std::vector<double> w;
     std::vector<std::uint32_t> boundaryEdges;
@@ -217,7 +218,8 @@ TEST(DecodeGraph, ContextRoundHorizonHidesFutureEdges)
     EXPECT_EQ(g.numRounds(), 2);
     MwpmDecoder dec(g);
 
-    EXPECT_EQ(dec.decode({0}), 0u);  // via round-1 edge, far exit
+    // Via the round-1 edge, far exit.
+    EXPECT_EQ(dec.decode(std::vector<std::uint32_t>{0}), 0u);
 
     DecodeContext ctx;
     ctx.maxRound = 0;

@@ -174,7 +174,7 @@ TEST(UnionFind, PairPreferredOverDoubleBoundary)
     auto dem = chainDem(9, 0.01);
     DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(9));
     UnionFindDecoder uf(g);
-    EXPECT_EQ(uf.decode({4, 5}), 0u);
+    EXPECT_EQ(uf.decode(std::vector<std::uint32_t>{4, 5}), 0u);
 }
 
 TEST(UnionFind, EdgeDefectExitsBoundary)
@@ -184,9 +184,9 @@ TEST(UnionFind, EdgeDefectExitsBoundary)
     UnionFindDecoder uf(g);
     // Defect at node 0: nearest explanation is the left boundary
     // edge, which flips the observable.
-    EXPECT_EQ(uf.decode({0}), 1u);
+    EXPECT_EQ(uf.decode(std::vector<std::uint32_t>{0}), 1u);
     // Defect at the right end: right boundary, no observable.
-    EXPECT_EQ(uf.decode({8}), 0u);
+    EXPECT_EQ(uf.decode(std::vector<std::uint32_t>{8}), 0u);
 }
 
 TEST(Mwpm, MatchesBruteForceOnSmallGraphs)

@@ -146,20 +146,22 @@ TEST(DecoderFactory, CustomRegistrationPlugsIn)
     // harness; restore the builtin afterwards.
     struct Fixed final : Decoder
     {
-        std::uint32_t
-        decode(const std::vector<std::uint32_t> &) override
+        using Decoder::Decoder;
+        std::uint32_t decodeImpl(std::span<const std::uint32_t>,
+                                 const DecodeContext &) override
         {
             return 42;
         }
         const char *name() const override { return "fixed"; }
     };
     registerDecoder(DecoderKind::UnionFind,
-                    [](const DecodingGraph &, const DecoderConfig &) {
-                        return std::unique_ptr<Decoder>(new Fixed);
+                    [](const DecodingGraph &g2, const DecoderConfig &) {
+                        return std::unique_ptr<Decoder>(new Fixed(g2));
                     });
     auto dem = chainDem(3, 0.01);
     DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(3));
-    EXPECT_EQ(makeDecoder(DecoderKind::UnionFind, g)->decode({0}),
+    EXPECT_EQ(makeDecoder(DecoderKind::UnionFind, g)
+                  ->decode(std::vector<std::uint32_t>{0}),
               42u);
     registerDecoder(DecoderKind::UnionFind,
                     [](const DecodingGraph &g2,
@@ -203,9 +205,9 @@ TEST(FallbackDecoder, RoutesOversizedToUnionFindAndCounts)
     auto dem = chainDem(15, 0.01);
     DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(15));
     FallbackDecoder fb(g, /*mwpmMaxDefects=*/2);
-    EXPECT_EQ(fb.decode({4, 5}), 0u);
+    EXPECT_EQ(fb.decode(std::vector<std::uint32_t>{4, 5}), 0u);
     EXPECT_EQ(fb.fallbacks(), 0u);
-    fb.decode({0, 4, 5, 9});
+    fb.decode(std::vector<std::uint32_t>{0, 4, 5, 9});
     EXPECT_EQ(fb.fallbacks(), 1u);
     fb.reset();
     EXPECT_EQ(fb.fallbacks(), 0u);

@@ -297,7 +297,7 @@ expectMatchesReference(MwpmDecoder &dec, const DecodeGraph &g,
     std::sort(want.begin(), want.end());
     ASSERT_EQ(used, want) << what;
     // Without the edge report the decode must not change either.
-    ASSERT_EQ(dec.decodeWithContext(syn, ctx), ref->correction) << what;
+    ASSERT_EQ(dec.decode(syn, ctx), ref->correction) << what;
 }
 
 constexpr int kTrialsPerSize = 12;
@@ -475,7 +475,7 @@ TEST(MwpmLocal, IsolatedDefectThrowsNamingIt)
     for (bool cache : {false, true}) {
         MwpmDecoder mwpm(g, kCap, false, 2, cache);
         try {
-            mwpm.decodeWithContext(syn, ctx);
+            mwpm.decode(syn, ctx);
             FAIL() << "isolated defect decoded";
         } catch (const FatalError &e) {
             const std::string msg = e.what();
@@ -486,11 +486,11 @@ TEST(MwpmLocal, IsolatedDefectThrowsNamingIt)
         }
         // The decoder stays usable after the throw.
         const std::uint32_t one[] = {ok};
-        EXPECT_EQ(mwpm.decodeWithContext(one, ctx),
+        EXPECT_EQ(mwpm.decode(one, ctx),
                   referenceMatch(g, one, ctx)->correction);
     }
     FallbackDecoder fb(g);
-    EXPECT_THROW(fb.decodeWithContext(syn, ctx), FatalError);
+    EXPECT_THROW(fb.decode(syn, ctx), FatalError);
 }
 
 TEST(MwpmLocal, OddClusterWithoutBoundaryThrows)
