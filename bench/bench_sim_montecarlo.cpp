@@ -23,12 +23,16 @@
  * lines record the wins), the compiled-artifact cache over a
  * SweepRunner seed grid ("compile-cache-speedup[...]"), and the
  * sharded engine's thread scaling with the process-global memo
- * cleared before every row; the final "parallel-efficiency@4" line
- * is consumed by scripts/perf_smoke.sh.
+ * cleared before every run; the final "parallel-efficiency@4" line
+ * (median of three interleaved 1/4-thread pairs) is consumed by
+ * scripts/perf_smoke.sh.
  */
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
+#include <utility>
 
 #include "src/codes/experiments.hh"
 #include "src/common/assert.hh"
@@ -380,42 +384,68 @@ main()
 
     std::printf("\n=== Engine scaling: d=5 memory, sharded "
                 "multithreaded decode ===\n\n");
-    Table s({"threads", "shots/s", "speedup", "pL", "failures"});
     codes::SurfaceCode sc5(5);
     auto e5 = codes::buildMemory(sc5, 'Z', 5,
                                  codes::NoiseParams::uniform(p));
     decoder::McOptions scal = opts;
-    scal.shots = 40000;
+    // 80 shards: the 4-thread run lasts ~0.3 s on a 4-core AVX-512
+    // box, so thread start-up no longer dominates it, and the shards
+    // split evenly over 1, 2 and 4 threads.
+    scal.shots = 80 * scal.shardShots;
     // Graph construction happens once, outside the timed window, so
     // the table measures sampling+decoding throughput only.
     decoder::MonteCarloEngine engine(e5, scal);
-    double baseRate = 0.0;
-    double rate4 = 0.0;
-    for (unsigned threads : {1u, 2u, 4u}) {
+    struct Run
+    {
+        double rate;
+        Proportion pL;
+    };
+    auto timedRun = [&](unsigned threads) {
         scal.threads = threads;
-        // Every row starts from an empty process-global memo, so the
-        // rows measure threads, not how warm the earlier rows left
-        // the memo.
+        // Every run starts from an empty process-global memo, so it
+        // measures threads, not how warm the previous run left the
+        // memo.
         decoder::GlobalDecodeMemo::instance().clear();
         auto t0 = std::chrono::steady_clock::now();
         auto res = engine.run(scal);
-        double rate = static_cast<double>(res.shots) /
-                      secondsSince(t0);
-        if (threads == 1)
-            baseRate = rate;
-        if (threads == 4)
-            rate4 = rate;
-        s.addRow({std::to_string(threads), fmtE(rate, 2),
-                  fmtF(rate / baseRate, 2) + "x",
-                  fmtE(res.perObservable[0].mean, 2),
-                  std::to_string(res.perObservable[0].hits)});
-    }
+        return Run{static_cast<double>(res.shots) / secondsSince(t0),
+                   res.perObservable[0]};
+    };
+    // One untimed 4-thread run first: the first multi-threaded run
+    // of a process grows the memo's heap from nothing and measured
+    // up to 3x slower than later ones.  Then three interleaved
+    // 1/4-thread pairs; the table and the efficiency line report the
+    // median pair, so one run slowed by host load does not move the
+    // result.
+    timedRun(4);
+    std::array<std::pair<Run, Run>, 3> pairs;
+    for (auto &pr : pairs)
+        pr = {timedRun(1), timedRun(4)};
+    auto efficiency = [](const std::pair<Run, Run> &pr) {
+        return pr.second.rate / (4.0 * pr.first.rate);
+    };
+    std::sort(pairs.begin(), pairs.end(),
+              [&](const auto &a, const auto &b) {
+                  return efficiency(a) < efficiency(b);
+              });
+    const auto &[one, four] = pairs[1];
+    const Run two = timedRun(2);
+    for (const auto &[r1, r4] : pairs)
+        TRAQ_REQUIRE(r1.pL.hits == two.pL.hits &&
+                         r4.pL.hits == two.pL.hits,
+                     "engine failure counts depend on thread count");
+    Table s({"threads", "shots/s", "speedup", "pL", "failures"});
+    for (const auto &[threads, run] :
+         {std::pair{1, one}, {2, two}, {4, four}})
+        s.addRow({std::to_string(threads), fmtE(run.rate, 2),
+                  fmtF(run.rate / one.rate, 2) + "x",
+                  fmtE(run.pL.mean, 2), std::to_string(run.pL.hits)});
     s.print();
-    std::printf("\n(failure counts are bit-identical across thread "
-                "counts: shard i always samples RNG stream "
+    std::printf("\n(1- and 4-thread rows: median of 3 interleaved "
+                "pairs; failure counts are bit-identical across "
+                "thread counts: shard i always samples RNG stream "
                 "(seed, i))\n");
     // Machine-readable: scripts/perf_smoke.sh gates on this.
-    std::printf("parallel-efficiency@4: %.3f\n",
-                baseRate > 0 ? rate4 / (4.0 * baseRate) : 0.0);
+    std::printf("parallel-efficiency@4: %.3f\n", efficiency(pairs[1]));
     return 0;
 }

@@ -20,9 +20,7 @@
  * (common/castore.hh flocks them), so --cache-file PATH — or an
  * inherited TRAQ_CACHE_FILE — becomes PATH.w0, PATH.w1, ... one
  * store per worker, never one store shared by two processes.
- *
- * Environment: TRAQ_DISPATCH_WORKERS and TRAQ_DISPATCH_INFLIGHT
- * default --workers / --inflight; malformed values fail loudly.
+ * Defaults: --workers 2, --inflight 32.
  *
  *     $ ./build/traq_dispatch --workers 4 --ordered \
  *           < tests/data/service_requests.jsonl
@@ -30,7 +28,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <limits.h>
 #include <map>
@@ -61,8 +58,7 @@ usage(const char *argv0, int code)
         "  emits untagged lines in input order, byte-identical to\n"
         "  a single traq_serve --ordered run.  --cache-file PATH\n"
         "  gives worker K the store PATH.wK (stores are\n"
-        "  single-writer).  TRAQ_DISPATCH_WORKERS and\n"
-        "  TRAQ_DISPATCH_INFLIGHT default --workers/--inflight.\n",
+        "  single-writer).  Defaults: --workers 2, --inflight 32.\n",
         argv0);
     return code;
 }
@@ -75,20 +71,6 @@ parseUnsigned(const std::string &value, unsigned long &out)
         value.data(), value.data() + value.size(), out);
     return ec == std::errc() &&
            ptr == value.data() + value.size();
-}
-
-/** Env-var unsigned knob: unset -> fallback; malformed -> fatal. */
-unsigned long
-envUnsigned(const char *name, unsigned long fallback)
-{
-    const char *raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0')
-        return fallback;
-    unsigned long v = 0;
-    if (!parseUnsigned(raw, v) || v == 0)
-        TRAQ_FATAL(std::string(name) + " must be a positive "
-                   "integer, got '" + raw + "'");
-    return v;
 }
 
 /** Sibling of this executable, for the default traq_serve path. */
@@ -110,20 +92,13 @@ siblingPath(const char *name)
 int
 main(int argc, char **argv)
 {
-    unsigned long workerCount = 0;
-    unsigned long inflight = 0;
+    unsigned long workerCount = 2;
+    unsigned long inflight = 32;
     bool ordered = false;
     bool cacheOn = true;
     std::string cacheFile;
     std::string servePath;
     std::vector<std::string> forwarded;
-    try {
-        workerCount = envUnsigned("TRAQ_DISPATCH_WORKERS", 2);
-        inflight = envUnsigned("TRAQ_DISPATCH_INFLIGHT", 32);
-    } catch (const traq::FatalError &e) {
-        std::fprintf(stderr, "traq_dispatch: %s\n", e.what());
-        return 2;
-    }
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         std::string value;
@@ -172,16 +147,14 @@ main(int argc, char **argv)
         }
     }
 
-    // Same contradiction check the service facade makes, before
-    // any worker spawns: a cache file (flag or TRAQ_CACHE_FILE
-    // env) with the result cache off is a configuration lie.
-    const std::string resolvedCache =
-        traq::resolveCacheFile(cacheFile);
-    if (!resolvedCache.empty() && !cacheOn) {
-        std::fprintf(stderr,
-                     "traq_dispatch: a cache file requires the "
-                     "result cache (the store is its disk form; "
-                     "refusing to silently ignore the path)\n");
+    // The check JobService makes, before any worker spawns: a
+    // cache file (flag or TRAQ_CACHE_FILE env) with the result
+    // cache off is a configuration error.
+    std::string resolvedCache;
+    try {
+        resolvedCache = traq::resolveCacheFileFor(cacheFile, cacheOn);
+    } catch (const traq::FatalError &e) {
+        std::fprintf(stderr, "traq_dispatch: %s\n", e.what());
         return 2;
     }
 

@@ -14,7 +14,9 @@
 #      4 worker processes,
 #   6. traq_dispatch streaming mode a permutation: every index exactly
 #      once, untagged payloads matching the golden after reorder, and
-#   7. a worker killed mid-run losing and duplicating nothing.
+#   7. a worker killed mid-run losing and duplicating nothing, and
+#   8. traq_dispatch refusing a cache file with the cache off (exit
+#      2, no per-worker store created).
 #
 # Byte-identity legs use --ordered (traq_serve's default output is a
 # completion-order stream of {"index":N,...} tagged lines).
@@ -49,7 +51,9 @@ stats=$(mktemp)
 cachefile=$(mktemp)
 bigreq=$(mktemp)
 bigexp=$(mktemp)
-trap 'rm -f "$out1" "$outn" "$stats" "$cachefile" "$bigreq" "$bigexp"' EXIT
+offdir=$(mktemp -d)
+trap 'rm -f "$out1" "$outn" "$stats" "$cachefile" "$bigreq" "$bigexp";
+      rm -rf "$offdir"' EXIT
 
 # Prefix each tagged {"index":N,...} line with its index and a tab,
 # sort numerically, drop the prefix: completion order -> input order.
@@ -175,6 +179,35 @@ for w in 2 4; do
     fi
     echo "service-smoke: OK   $w-worker dispatch matches golden"
 done
+
+# Contradiction leg: a cache file (flag or TRAQ_CACHE_FILE) with the
+# result cache off is refused before any worker spawns — exit 2 and
+# no PATH.wK store on disk.
+for how in flag env; do
+    status=0
+    if [[ "$how" == flag ]]; then
+        "$DISPATCH" --workers 2 --cache off \
+            --cache-file "$offdir/store" < "$REQUESTS" \
+            > /dev/null 2> "$stats" || status=$?
+    else
+        TRAQ_CACHE_FILE="$offdir/store" "$DISPATCH" --workers 2 \
+            --cache off < "$REQUESTS" > /dev/null 2> "$stats" \
+            || status=$?
+    fi
+    if [[ "$status" -ne 2 ]]; then
+        echo "service-smoke: FAIL --cache off with a cache file ($how)" \
+             "exited $status, expected 2:" >&2
+        cat "$stats" >&2
+        exit 1
+    fi
+    if compgen -G "$offdir/store*" > /dev/null; then
+        echo "service-smoke: FAIL --cache off with a cache file ($how)" \
+             "created a store:" "$offdir"/store* >&2
+        exit 1
+    fi
+done
+echo "service-smoke: OK   cache file with --cache off refused (exit 2," \
+     "no store)"
 
 # Streaming (default) dispatch is a tagged permutation: every global
 # index exactly once, and untagging + reordering recovers the golden.

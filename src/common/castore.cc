@@ -294,4 +294,15 @@ resolveCacheFile(const std::string &requested)
     return "";
 }
 
+std::string
+resolveCacheFileFor(const std::string &requested, bool cacheOn)
+{
+    std::string path = resolveCacheFile(requested);
+    if (!path.empty() && !cacheOn)
+        TRAQ_FATAL("a cache file requires the result cache (the "
+                   "store is its disk form; refusing to silently "
+                   "ignore the path)");
+    return path;
+}
+
 } // namespace traq

@@ -125,6 +125,16 @@ class CaStore
  */
 std::string resolveCacheFile(const std::string &requested);
 
+/**
+ * resolveCacheFile() for a consumer whose result cache may be off:
+ * a resolved path with @p cacheOn false is refused with FatalError
+ * (the store is the cache's disk form; silently ignoring the path
+ * would be a lie).  The one place JobService and traq_dispatch
+ * check the contradiction.
+ */
+std::string resolveCacheFileFor(const std::string &requested,
+                                bool cacheOn);
+
 } // namespace traq
 
 #endif // TRAQ_COMMON_CASTORE_HH

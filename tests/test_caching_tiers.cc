@@ -148,6 +148,15 @@ TEST(CacheFileEnv, ResolutionAndLoudness)
 
     // A cache file without the result cache is refused loudly too —
     // the store is the cache's disk form, not a separate feature.
+    // resolveCacheFileFor is the one check: explicit or env path,
+    // refused only when a path resolves with the cache off.
+    EXPECT_EQ(resolveCacheFileFor("", false), "");
+    EXPECT_EQ(resolveCacheFileFor("/a/b.cas", true), "/a/b.cas");
+    EXPECT_THROW(resolveCacheFileFor("/a/b.cas", false), FatalError);
+    ASSERT_EQ(setenv("TRAQ_CACHE_FILE", "/env/c.cas", 1), 0);
+    EXPECT_EQ(resolveCacheFileFor("", true), "/env/c.cas");
+    EXPECT_THROW(resolveCacheFileFor("", false), FatalError);
+    unsetenv("TRAQ_CACHE_FILE");
     service::JobQueueOptions opts;
     opts.cache = false;
     opts.cacheFile = "/tmp/whatever.cas";

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the layered service tier: the JobState machine (job.hh),
- * parse/validation structured errors (validation.hh), scheduler
- * backpressure (scheduler.hh), the wire tag format (wire.hh), the
+ * parse/validation structured errors (validation.hh), JobService
+ * backpressure (job_service.hh), the wire tag format (wire.hh), the
  * CaStore single-writer lock, and the multi-process dispatcher
  * (dispatcher.hh) — including N-worker --ordered byte-identity and
  * the kill-a-worker retry path.
@@ -28,7 +28,6 @@
 #include "src/estimator/estimator.hh"
 #include "src/service/dispatcher.hh"
 #include "src/service/job_service.hh"
-#include "src/service/scheduler.hh"
 #include "src/service/validation.hh"
 #include "src/service/wire.hh"
 
@@ -214,7 +213,7 @@ TEST(Validation, OutcomeCarriesTheErrorClass)
 }
 
 // ---------------------------------------------------------------
-// Scheduler backpressure
+// JobService backpressure
 // ---------------------------------------------------------------
 
 /** Gate shared with the blocking test estimator. */
