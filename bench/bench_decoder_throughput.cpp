@@ -13,8 +13,7 @@
  *
  *     decode-latency[<kind>]: <us> us/round <PASS|WARN> (budget 500)
  *
- * line on the hardest fixture (d=5 joint CNOT decoding), which
- * scripts/perf_smoke.sh archives into the CI perf-history artifact.
+ * line on the hardest fixture (d=5 joint CNOT decoding).
  * Each kind is timed three ways on the same accepted shots: the
  * per-shot decode() loop (MWPM reach cache on, the default), and
  * the engine's batch driver decodeBatchSorted() with memoization

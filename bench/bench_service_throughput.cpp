@@ -10,7 +10,7 @@
  * a cache file, then a fresh queue restarted against that file
  * serving the same traffic from the persistent tier alone.
  *
- * Machine-readable lines for scripts/perf_smoke.sh:
+ * One summary line per phase:
  *
  *     service-throughput[cold]: <req/s> req/s (...)
  *     service-throughput[warm]: <req/s> req/s (...)

@@ -11,21 +11,25 @@
  * must reproduce is the structure: error suppression with d, and
  * elevation of the per-round error with CNOT density at fixed d.
  *
- * Also benchmarks the frame-sampler word backends (portable 64-bit
- * vs 8-lane wide bit-planes, common/word.hh), the full
- * sample->extract->decode hot path (the previous generation of the
- * pipeline — baseline codegen, scalar extraction, no memo, no reach
- * cache — vs the CSR-block pipeline with predecode and vs the
- * current full stack of runtime CPU dispatch, transpose
- * extraction, decode memoization, the process-global syndrome memo
- * and the MWPM reach cache; the "hotpath-speedup-vs-pr7[...]" /
- * "decode-memo-hit-rate[...]" / "cross-batch-memo-hit-rate[...]"
- * lines record the wins), the compiled-artifact cache over a
- * SweepRunner seed grid ("compile-cache-speedup[...]"), and the
- * sharded engine's thread scaling with the process-global memo
- * cleared before every run; the final "parallel-efficiency@4" line
- * (median of three interleaved 1/4-thread pairs) is consumed by
- * scripts/perf_smoke.sh.
+ * Also reports, for a human reader:
+ *  - the frame-sampler word backends (portable 64-bit vs 8-lane
+ *    wide bit-planes, common/word.hh);
+ *  - the sample->extract->decode hot path: the CSR-block pipeline
+ *    with predecode (memo and reach cache off) as the reference,
+ *    and the same pipeline with the per-batch decode memo, the
+ *    process-global syndrome memo and the MWPM reach cache on, with
+ *    its "decode-memo-hit-rate[...]" and
+ *    "cross-batch-memo-hit-rate[...]" lines;
+ *  - the compiled-artifact cache over a SweepRunner seed grid
+ *    ("compile-cache-speedup[...]");
+ *  - the sharded engine's thread scaling with the process-global
+ *    memo cleared before every run.  The final
+ *    "parallel-efficiency@4" line (median of three interleaved
+ *    1/4-thread pairs) is the one line scripts/perf_smoke.sh reads.
+ *
+ * perfbench/ (BENCHMARK.json) is the measured performance record.
+ * Here only the wall clock (3x its bench/perf_baseline.txt entry)
+ * and the bench's own consistency checks can fail a run.
  */
 
 #include <algorithm>
@@ -81,20 +85,33 @@ samplerShotsPerSec(const traq::codes::Experiment &e, unsigned lanes,
     return static_cast<double>(done) / secondsSince(t0);
 }
 
+/** Shot fractions served without a decoder call (hot-path run). */
+struct MemoHitRates
+{
+    double perBatch = 0.0;
+    /** Per-batch plus process-global hits: >= perBatch, since the
+     *  global tier only adds hits the batch-local memo cannot see. */
+    double crossBatch = 0.0;
+};
+
 /**
- * End-to-end hot-path throughput, block shape: sampleInto +
- * extractSyndromeBlock (CSR) + one decodeBatchSorted call per batch
- * with memoization off, the predecode fast path peeling isolated
- * pairs before the matcher.  The reach cache is pinned off, as in
- * the previous-generation row, so this row measures pipeline shape,
- * not cache state.
+ * End-to-end hot-path throughput, the engine's exact per-batch work:
+ * sampleInto + extractSyndromeBlock (CSR) + one decodeBatchSorted
+ * call per batch, the predecode fast path peeling isolated pairs
+ * before the matcher.  With `caches` off (the reference row) the
+ * per-batch memo and the MWPM reach cache are pinned off, so the row
+ * measures pipeline shape, not cache state; with it on, the per-batch
+ * memo, the process-global syndrome memo (caching tier 1, cleared
+ * first) and the reach cache all run, and `rates` gets their hits.
  */
 double
-blockPipelineShotsPerSec(const traq::codes::Experiment &e,
-                         const traq::decoder::DecodeGraph &graph,
-                         unsigned lanes, std::uint64_t shots)
+hotPathShotsPerSec(const traq::codes::Experiment &e,
+                   const traq::decoder::DecodeGraph &graph,
+                   std::uint64_t shots, bool caches,
+                   MemoHitRates *rates = nullptr)
 {
     using namespace traq;
+    const unsigned lanes = kWide512WordLanes;
     sim::FrameSimulator fs(1234, lanes);
     sim::FrameBatch batch;
     sim::SyndromeBlock block;
@@ -102,69 +119,16 @@ blockPipelineShotsPerSec(const traq::codes::Experiment &e,
     std::vector<std::uint32_t> predicted(64ULL * lanes);
     decoder::DecoderConfig cfg;
     cfg.predecode = 1;
-    cfg.reachCache = 0;  // equal cache state with the prev-gen row
-    auto dec = decoder::makeDecoder(decoder::DecoderKind::Fallback,
-                                    graph, cfg);
-    decoder::BatchDecodeScratch scratch;
-    fs.sampleInto(e.circuit, batch);  // warm allocations
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t done = 0;
-    while (done < shots) {
-        fs.sampleInto(e.circuit, batch);
-        sim::extractSyndromeBlock(batch, live, block);
-        decoder::SyndromeBatch view;
-        view.offsets = block.offsets;
-        view.defects = block.defects;
-        decoder::decodeBatchSorted(*dec, view, predicted, scratch,
-                                   false);
-        done += batch.shots();
-    }
-    return static_cast<double>(done) / secondsSince(t0);
-}
-
-/**
- * Full-stack hot-path throughput: the engine's exact per-batch work
- * (sample, block extraction, sorted + optionally memoized decode),
- * parameterized over the generations of the pipeline.  `previous`
- * reproduces the pre-dispatch shape — baseline codegen, scalar
- * two-pass extraction, no memo, no reach cache — while the default
- * runs the current stack: runtime-dispatched kernels, transpose
- * extraction, per-batch decode memoization backed by the
- * process-global syndrome memo (caching tier 1), MWPM reach cache.
- *
- * `crossBatchRate` reports the fraction of shots served without a
- * decoder call once the global tier joins in: within-batch memo
- * hits plus cross-batch global hits, over all shots.  It is >= the
- * per-batch `memoHitRate` by construction — the global tier only
- * adds hits the batch-local memo cannot see.
- */
-double
-fullStackShotsPerSec(const traq::codes::Experiment &e,
-                     const traq::decoder::DecodeGraph &graph,
-                     unsigned lanes, std::uint64_t shots,
-                     bool previous, double *memoHitRate = nullptr,
-                     double *crossBatchRate = nullptr)
-{
-    using namespace traq;
-    sim::FrameSimulator fs(1234, lanes,
-                           previous ? CpuDispatch::Baseline
-                                    : CpuDispatch::Auto);
-    sim::FrameBatch batch;
-    sim::SyndromeBlock block;
-    std::vector<std::uint64_t> live(lanes, ~0ULL);
-    std::vector<std::uint32_t> predicted(64ULL * lanes);
-    decoder::DecoderConfig cfg;
-    cfg.predecode = 1;
-    cfg.reachCache = previous ? 0 : 1;
+    cfg.reachCache = caches ? 1 : 0;
     auto dec = decoder::makeDecoder(decoder::DecoderKind::Fallback,
                                     graph, cfg);
     decoder::BatchDecodeScratch scratch;
     decoder::GlobalDecodeMemo *global = nullptr;
     decoder::DecodeSetupKey setup{};
-    if (!previous) {
+    if (caches) {
         global = &decoder::GlobalDecodeMemo::instance();
-        // Start from an empty global tier so the reported hit rates
-        // measure this run, not whatever main() decoded earlier.
+        // Start from an empty global tier so the hit rates measure
+        // this run, not whatever main() decoded earlier.
         global->clear();
         setup = decoder::decodeSetupKey(
             graph, decoder::DecoderKind::Fallback, cfg);
@@ -176,28 +140,21 @@ fullStackShotsPerSec(const traq::codes::Experiment &e,
     std::uint64_t globalHits = 0;
     while (done < shots) {
         fs.sampleInto(e.circuit, batch);
-        if (previous)
-            sim::extractSyndromeBlockScalar(batch, live, block);
-        else
-            sim::extractSyndromeBlock(batch, live, block);
+        sim::extractSyndromeBlock(batch, live, block);
         decoder::SyndromeBatch view;
         view.offsets = block.offsets;
         view.defects = block.defects;
         const auto st = decoder::decodeBatchSorted(
-            *dec, view, predicted, scratch, !previous, global,
-            setup);
+            *dec, view, predicted, scratch, caches, global, setup);
         memoHits += st.memoHits;
         globalHits += st.globalHits;
         done += batch.shots();
     }
-    if (memoHitRate)
-        *memoHitRate =
-            done ? static_cast<double>(memoHits) / done : 0.0;
-    if (crossBatchRate)
-        *crossBatchRate =
-            done ? static_cast<double>(memoHits + globalHits) / done
-                 : 0.0;
-    return static_cast<double>(done) / secondsSince(t0);
+    const double seconds = secondsSince(t0);
+    if (rates)
+        *rates = {static_cast<double>(memoHits) / done,
+                  static_cast<double>(memoHits + globalHits) / done};
+    return static_cast<double>(done) / seconds;
 }
 
 } // namespace
@@ -281,8 +238,8 @@ main()
     }
 
     std::printf("\n=== Hot path: sample + extract + decode, "
-                "previous-generation pipeline vs the current stack, "
-                "wide512 (p = 1e-3) ===\n\n");
+                "CSR-block reference vs the current stack, wide512 "
+                "(p = 1e-3) ===\n\n");
     {
         Table h({"config", "pipeline", "shots/s", "speedup"});
         for (int d : {3, 5}) {
@@ -294,45 +251,21 @@ main()
             const std::uint64_t shots = d == 3 ? 1 << 17 : 1 << 16;
             const std::string cfg =
                 "memory d=" + std::to_string(d);
-            // The previous pipeline generation (baseline codegen,
-            // scalar extraction, no memo, no reach cache) is the
-            // reference every other row is a speedup over.
-            const double prior = fullStackShotsPerSec(
-                e, graph, kWide512WordLanes, shots, true);
-            h.addRow({cfg, "prev gen (baseline+scalar extract)",
-                      fmtE(prior, 2), "1.00x"});
-            const double peeled = blockPipelineShotsPerSec(
-                e, graph, kWide512WordLanes, shots);
+            const double ref = hotPathShotsPerSec(e, graph, shots,
+                                                  false);
             h.addRow({cfg, "CSR block + batch + predecode",
-                      fmtE(peeled, 2),
-                      fmtF(peeled / prior, 2) + "x"});
-            double memoHitRate = 0.0;
-            double crossBatchRate = 0.0;
-            const double full = fullStackShotsPerSec(
-                e, graph, kWide512WordLanes, shots, false,
-                &memoHitRate, &crossBatchRate);
-            h.addRow({cfg, "dispatch+transpose+memo+reach-cache",
-                      fmtE(full, 2), fmtF(full / prior, 2) + "x"});
-            // Machine-readable records of the hot-path wins (the
-            // acceptance lines; scripts/perf_smoke.sh collects
-            // them).  "hotpath-speedup-vs-pr7" is the
-            // cross-generation gate (target >= 1.5x at d=5 on
-            // AVX2-capable hardware); "cross-batch-memo-hit-rate" is
-            // the caching-tier-1 acceptance line (must be >= the
-            // per-batch "decode-memo-hit-rate" — the global tier
-            // only adds hits).
-            std::printf("hotpath-speedup-vs-pr7[memory d=%d]: "
-                        "%.2fx (dispatch+transpose+memo+reach-cache "
-                        "vs baseline+scalar-extract, %s)\n",
-                        d, full / prior,
-                        cpuDispatchName(
-                            resolveCpuDispatch(CpuDispatch::Auto)));
+                      fmtE(ref, 2), "1.00x"});
+            MemoHitRates rates;
+            const double full =
+                hotPathShotsPerSec(e, graph, shots, true, &rates);
+            h.addRow({cfg, "+ memo + global memo + reach cache",
+                      fmtE(full, 2), fmtF(full / ref, 2) + "x"});
             std::printf("decode-memo-hit-rate[memory d=%d]: %.3f\n",
-                        d, memoHitRate);
+                        d, rates.perBatch);
             std::printf("cross-batch-memo-hit-rate[memory d=%d]: "
                         "%.3f (per-batch %.3f + process-global "
                         "tier)\n",
-                        d, crossBatchRate, memoHitRate);
+                        d, rates.crossBatch, rates.perBatch);
         }
         std::printf("\n");
         h.print();
@@ -445,7 +378,7 @@ main()
                 "pairs; failure counts are bit-identical across "
                 "thread counts: shard i always samples RNG stream "
                 "(seed, i))\n");
-    // Machine-readable: scripts/perf_smoke.sh gates on this.
+    // Machine-readable: scripts/perf_smoke.sh warns on this.
     std::printf("parallel-efficiency@4: %.3f\n", efficiency(pairs[1]));
     return 0;
 }

@@ -165,7 +165,17 @@ main(int argc, char **argv)
         }
     }
 
-    JobService queue(opts);
+    // Configuration errors (a cache file with the cache off, an
+    // unopenable or locked store) are refused here, before any
+    // input is read: a clean exit 2, as in traq_dispatch.
+    std::optional<JobService> service;
+    try {
+        service.emplace(opts);
+    } catch (const traq::FatalError &e) {
+        std::fprintf(stderr, "traq_serve: %s\n", e.what());
+        return 2;
+    }
+    JobService &queue = *service;
 
     // Emitter state shared between the reader (main) thread and the
     // emitter thread.  Ordered mode: a FIFO of lines, emitted

@@ -1,28 +1,16 @@
 #!/usr/bin/env bash
-# Perf smoke check: run the benches listed in bench/perf_baseline.txt
-# and fail on a crash or a gross (> MARGIN x) wall-clock regression
-# against the stored per-bench baseline.  Additionally records the
-# multithreaded Monte-Carlo engine's thread-scaling efficiency
-# (N-thread vs 1-thread speedup reported by bench_sim_montecarlo as
-# "parallel-efficiency@4") and warns when it drops under
-# EFF_WARN_THRESHOLD — a warning, not a failure, because CI runners
-# and laptops legitimately have fewer than 4 cores.
+# Perf smoke check: a crash and gross-slowdown tripwire, not a perf
+# record (perfbench/, declared in BENCHMARK.json, is the measured
+# benchmark).  Runs every bench listed in bench/perf_baseline.txt and
+# fails when one is missing, exits non-zero, or takes longer than
+# MARGIN x its stored baseline seconds.  Also prints the sharded
+# Monte-Carlo engine's thread-scaling efficiency
+# ("parallel-efficiency@4" from bench_sim_montecarlo) and warns when
+# it drops under EFF_WARN_THRESHOLD — a warning, not a failure,
+# because CI runners and laptops legitimately have fewer than 4
+# cores.
 #
 # Usage: scripts/perf_smoke.sh [build-dir]
-#
-# When PERF_HISTORY_JSON is set (CI does this), a machine-readable
-# record of the run — per-bench wall clock vs baseline, the
-# thread-scaling efficiency, the CPU dispatch level the kernels ran
-# at, the end-to-end hot-path
-# speedup vs the PR-7 generation (baseline kernels + scalar extract,
-# no memo/reach-cache), the per-batch and cross-batch (process-
-# global tier) decode-memo hit rates and the compiled-artifact
-# cache speedup from bench_sim_montecarlo, the persistent-store
-# warm-restart speedup from bench_service_throughput, and the
-# per-decoder decode-latency lines from bench_decoder_throughput —
-# is written there as one JSON document; CI uploads it as a dated
-# perf-history artifact so regressions can be traced across
-# commits, not just against the static baseline.
 #
 # The baseline file holds "<bench-binary> <baseline-seconds>" pairs;
 # baselines are deliberately loose (they bound machine-class, not
@@ -39,17 +27,6 @@ fail=0
 outfile=$(mktemp)
 trap 'rm -f "$outfile"' EXIT
 efficiency=""
-bench_json=""
-latency_json=""
-dispatch_runtime=""
-speedup_json=""
-speedup_lines=""
-memo_json=""
-cross_memo_json=""
-compile_cache_json=""
-warm_restart=""
-stream_rps=""
-stream_first_ms=""
 
 while read -r name baseline; do
     case "$name" in
@@ -72,77 +49,22 @@ while read -r name baseline; do
         'BEGIN { printf "%.3f", (e - s) / 1e9 }')
     limit=$(awk -v b="$baseline" -v m="$MARGIN" \
         'BEGIN { printf "%.3f", b * m }')
-    status=OK
     if awk -v e="$elapsed" -v l="$limit" \
         'BEGIN { exit !(e > l) }'; then
         echo "perf-smoke: FAIL $name took ${elapsed}s" \
              "(baseline ${baseline}s, limit ${limit}s)" >&2
         fail=1
-        status=FAIL
     else
         echo "perf-smoke: OK   $name ${elapsed}s" \
              "(baseline ${baseline}s, limit ${limit}s)"
     fi
-    bench_json="${bench_json:+$bench_json, }{\"bench\": \"$name\",\
- \"elapsed_s\": $elapsed, \"baseline_s\": $baseline,\
- \"status\": \"$status\"}"
     if [[ "$name" == "bench_sim_montecarlo" ]]; then
         efficiency=$(awk '/^parallel-efficiency@4:/ { print $2 }' \
-            "$outfile")
-        # cpu-dispatch: <runtime>
-        dispatch_runtime=$(awk '/^cpu-dispatch:/ { print $2; exit }' \
-            "$outfile")
-        # hotpath-speedup-vs-pr7[<fixture>]: <X.XX>x (...)
-        speedup_json=$(awk -F'[][]' '/^hotpath-speedup-vs-pr7\[/ {
-            split($3, f, " "); sub(/x$/, "", f[2]);
-            printf "%s{\"fixture\": \"%s\", \"speedup\": %s}",
-                (n++ ? ", " : ""), $2, f[2] }' "$outfile")
-        # decode-memo-hit-rate[<fixture>]: <rate>
-        memo_json=$(awk -F'[][]' '/^decode-memo-hit-rate\[/ {
-            split($3, f, " ");
-            printf "%s{\"fixture\": \"%s\", \"hit_rate\": %s}",
-                (n++ ? ", " : ""), $2, f[2] }' "$outfile")
-        # cross-batch-memo-hit-rate[<fixture>]: <rate> (...)
-        cross_memo_json=$(awk -F'[][]' \
-            '/^cross-batch-memo-hit-rate\[/ {
-            split($3, f, " ");
-            printf "%s{\"fixture\": \"%s\", \"hit_rate\": %s}",
-                (n++ ? ", " : ""), $2, f[2] }' "$outfile")
-        # compile-cache-speedup[<fixture>]: <X.XX>x (...)
-        compile_cache_json=$(awk -F'[][]' \
-            '/^compile-cache-speedup\[/ {
-            split($3, f, " "); sub(/x$/, "", f[2]);
-            printf "%s{\"fixture\": \"%s\", \"speedup\": %s}",
-                (n++ ? ", " : ""), $2, f[2] }' "$outfile")
-        speedup_lines=$(awk -F'[][]' \
-            '/^hotpath-speedup-vs-pr7\[/ { split($3, f, " ");
-            printf "perf-smoke: OK   hotpath-speedup-vs-pr7[%s] =\
- %s\n", $2, f[2] }' "$outfile")
-    fi
-    if [[ "$name" == "bench_service_throughput" ]]; then
-        # warm-restart-speedup: <X.X>x (...)
-        warm_restart=$(awk '/^warm-restart-speedup:/ {
-            sub(/x$/, "", $2); print $2; exit }' "$outfile")
-        # service-throughput[stream]: <req/s> req/s (...)
-        stream_rps=$(awk -F'[][]' \
-            '/^service-throughput\[stream\]/ {
-            split($3, f, " "); print f[2]; exit }' "$outfile")
-        # stream-first-result: <ms> ms (...)
-        stream_first_ms=$(awk '/^stream-first-result:/ {
-            print $2; exit }' "$outfile")
-    fi
-    if [[ "$name" == "bench_decoder_throughput" ]]; then
-        # decode-latency[<kind>]: <us> us/round <PASS|WARN> (...)
-        latency_json=$(awk -F'[][]' '/^decode-latency\[/ {
-            split($3, f, " ");
-            printf "%s{\"decoder\": \"%s\", \"us_per_round\": %s,\
- \"status\": \"%s\"}", (n++ ? ", " : ""), $2, f[2], f[4] }' \
             "$outfile")
     fi
 done < "$BASELINE_FILE"
 
-# Thread-scaling efficiency of the sharded Monte-Carlo engine
-# (ROADMAP: track scaling, not just wall-clock).
+# Thread-scaling efficiency of the sharded Monte-Carlo engine.
 if [[ -n "$efficiency" ]]; then
     if awk -v e="$efficiency" -v t="$EFF_WARN_THRESHOLD" \
         'BEGIN { exit !(e < t) }'; then
@@ -156,65 +78,6 @@ if [[ -n "$efficiency" ]]; then
 else
     echo "perf-smoke: WARN no parallel-efficiency@4 line from" \
          "bench_sim_montecarlo"
-fi
-
-# Runtime dispatch level and the end-to-end hot-path win vs the PR-7
-# generation (informational: the binary is the same either way, so a
-# baseline-only CI runner legitimately prints "baseline").
-if [[ -n "$dispatch_runtime" ]]; then
-    echo "perf-smoke: OK   cpu-dispatch = $dispatch_runtime"
-else
-    echo "perf-smoke: WARN no cpu-dispatch line from" \
-         "bench_sim_montecarlo"
-fi
-if [[ -n "$speedup_lines" ]]; then
-    echo "$speedup_lines"
-fi
-
-# Caching tiers (informational; the hard gates are the bench-level
-# target lines and the test suite's bit-identity checks).
-if [[ -n "$warm_restart" ]]; then
-    echo "perf-smoke: OK   warm-restart-speedup = ${warm_restart}x"
-else
-    echo "perf-smoke: WARN no warm-restart-speedup line from" \
-         "bench_service_throughput"
-fi
-
-# Streaming service tier (informational): completion-order throughput
-# and the latency a streaming client pays for its first result.
-if [[ -n "$stream_rps" ]]; then
-    echo "perf-smoke: OK   stream-throughput = $stream_rps req/s," \
-         "first result after ${stream_first_ms:-?} ms"
-else
-    echo "perf-smoke: WARN no service-throughput[stream] line from" \
-         "bench_service_throughput"
-fi
-
-if [[ -n "${PERF_HISTORY_JSON:-}" ]]; then
-    {
-        echo "{"
-        echo "  \"date\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
-        echo "  \"commit\": \"${GITHUB_SHA:-unknown}\","
-        echo "  \"margin\": $MARGIN,"
-        echo "  \"parallel_efficiency_at_4\": ${efficiency:-null},"
-        if [[ -n "$dispatch_runtime" ]]; then
-            echo "  \"cpu_dispatch\": \"$dispatch_runtime\","
-        else
-            echo "  \"cpu_dispatch\": null,"
-        fi
-        echo "  \"hotpath_speedup_vs_pr7\": [$speedup_json],"
-        echo "  \"decode_memo_hit_rate\": [$memo_json],"
-        echo "  \"cross_batch_memo_hit_rate\": [$cross_memo_json],"
-        echo "  \"compile_cache_speedup\": [$compile_cache_json],"
-        echo "  \"warm_restart_speedup\": ${warm_restart:-null},"
-        echo "  \"stream_req_per_s\": ${stream_rps:-null},"
-        echo "  \"stream_first_result_ms\":" \
-             "${stream_first_ms:-null},"
-        echo "  \"benches\": [$bench_json],"
-        echo "  \"decode_latency_us_per_round\": [$latency_json]"
-        echo "}"
-    } > "$PERF_HISTORY_JSON"
-    echo "perf-smoke: history written to $PERF_HISTORY_JSON"
 fi
 
 exit "$fail"

@@ -15,8 +15,9 @@
 #   6. traq_dispatch streaming mode a permutation: every index exactly
 #      once, untagged payloads matching the golden after reorder, and
 #   7. a worker killed mid-run losing and duplicating nothing, and
-#   8. traq_dispatch refusing a cache file with the cache off (exit
-#      2, no per-worker store created).
+#   8. traq_dispatch and traq_serve refusing a cache file with the
+#      cache off (exit 2, no store created), and traq_serve refusing
+#      an unopenable cache file (exit 2, one-line diagnostic).
 #
 # Byte-identity legs use --ordered (traq_serve's default output is a
 # completion-order stream of {"index":N,...} tagged lines).
@@ -208,6 +209,34 @@ for how in flag env; do
 done
 echo "service-smoke: OK   cache file with --cache off refused (exit 2," \
      "no store)"
+
+# The same configuration errors in traq_serve: a cache file with the
+# cache off, and a cache file in a directory that does not exist.
+# Each must be refused before any input is read with exit 2 and one
+# "traq_serve: ..." line on stderr — not an uncaught exception.
+for how in contradiction unopenable; do
+    status=0
+    if [[ "$how" == contradiction ]]; then
+        "$SERVE" --cache off --cache-file "$offdir/serve" \
+            < "$REQUESTS" > /dev/null 2> "$stats" || status=$?
+    else
+        "$SERVE" --cache-file "$offdir/missing/dir/x.cas" \
+            < "$REQUESTS" > /dev/null 2> "$stats" || status=$?
+    fi
+    if [[ "$status" -ne 2 ]] || [[ "$(wc -l < "$stats")" -ne 1 ]] ||
+        ! grep -q '^traq_serve: ' "$stats"; then
+        echo "service-smoke: FAIL traq_serve $how cache file exited" \
+             "$status, expected 2 and one traq_serve: line:" >&2
+        cat "$stats" >&2
+        exit 1
+    fi
+    if compgen -G "$offdir/serve*" > /dev/null; then
+        echo "service-smoke: FAIL traq_serve --cache off with a cache" \
+             "file created a store:" "$offdir"/serve* >&2
+        exit 1
+    fi
+done
+echo "service-smoke: OK   traq_serve cache-file config errors exit 2"
 
 # Streaming (default) dispatch is a tagged permutation: every global
 # index exactly once, and untagging + reordering recovers the golden.

@@ -130,11 +130,7 @@ struct SyndromeBlock
     }
 
   private:
-    friend void extractSyndromeBlockScalar(
-        const FrameBatch &, std::span<const std::uint64_t>,
-        SyndromeBlock &);
     friend struct kernels::BlockScratchAccess;
-    std::vector<std::uint32_t> cursor_;  //!< fill-pass scratch
     /** Shot-major transposed bit rows (transpose extraction). */
     std::vector<std::uint64_t> rowBits_;
 };
@@ -145,25 +141,14 @@ struct SyndromeBlock
  * level): detector and herald planes are turned shot-major by a
  * blocked 64x64 bit-matrix transpose and each shot's row words
  * stream straight into the CSR lists.  Masked-out shots (liveMask
- * bit clear) get empty syndromes and zero masks.  Equivalent to
- * extractSyndromeBlockScalar bit for bit — locked by tests — with
- * flat reused storage: the decode hot path's allocation-free SoA
- * hand-off.
+ * bit clear) get empty syndromes and zero masks.  Bit-identical to
+ * a scalar countr_zero plane walk (the reference in
+ * tests/scalar_extract.hh, locked by tests), with flat reused
+ * storage: the decode hot path's allocation-free SoA hand-off.
  */
 void extractSyndromeBlock(const FrameBatch &batch,
                           std::span<const std::uint64_t> liveMask,
                           SyndromeBlock &out);
-
-/**
- * The pre-dispatch scalar extraction: a counting pass and a fill
- * pass walking only the *set* bits of the planes with countr_zero.
- * Kept as the portable reference the transpose kernels are locked
- * against (and as the better choice for very sparse planes hit once;
- * the engine always goes through extractSyndromeBlock).
- */
-void extractSyndromeBlockScalar(const FrameBatch &batch,
-                                std::span<const std::uint64_t> liveMask,
-                                SyndromeBlock &out);
 
 /**
  * The frame simulator's mutable sampling state, grouped so the

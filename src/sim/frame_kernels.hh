@@ -43,7 +43,8 @@ struct FrameKernels
     void (*sampleInto)(FrameSimState &st, const Circuit &circuit,
                        unsigned lanes, FrameBatch &out);
     /** Blocked bit-matrix-transpose CSR extraction; bit-identical
-     *  to extractSyndromeBlockScalar (locked by tests). */
+     *  to the scalar reference in tests/scalar_extract.hh (locked
+     *  by tests). */
     void (*extractBlock)(const FrameBatch &batch,
                          std::span<const std::uint64_t> liveMask,
                          SyndromeBlock &out);
@@ -67,10 +68,6 @@ const FrameKernels &frameKernels(CpuDispatch level);
  *  kernel namespaces (they cannot all be friends by name). */
 struct BlockScratchAccess
 {
-    static std::vector<std::uint32_t> &cursor(SyndromeBlock &b)
-    {
-        return b.cursor_;
-    }
     /** Shot-major transposed bit rows (transpose extraction). */
     static std::vector<std::uint64_t> &rowBits(SyndromeBlock &b)
     {

@@ -18,7 +18,8 @@
  *    in, shot-major out) instead of per-bit countr_zero walks over
  *    the planes.  Each shot's defects then stream out of its own
  *    contiguous row words — sequential, vector-friendly, and
- *    bit-identical to extractSyndromeBlockScalar.
+ *    bit-identical to the scalar countr_zero reference in
+ *    tests/scalar_extract.hh.
  */
 
 #ifndef TRAQ_KERNEL_NS

@@ -32,6 +32,7 @@
 #include "src/sim/dem.hh"
 #include "src/sim/frame.hh"
 #include "src/sim/frame_kernels.hh"
+#include "tests/scalar_extract.hh"
 
 namespace {
 
@@ -205,7 +206,7 @@ TEST(CpuDispatch, TransposeExtractionMatchesScalarReference)
             partial[l] = 0x5a5a00ff0f0f33ccULL >> l;
         for (const auto &mask : {full, partial}) {
             sim::SyndromeBlock ref;
-            sim::extractSyndromeBlockScalar(batch, mask, ref);
+            testref::extractSyndromeBlockScalar(batch, mask, ref);
             for (CpuDispatch level : supportedLevels()) {
                 sim::SyndromeBlock got;
                 sim::kernels::frameKernels(level).extractBlock(
@@ -245,7 +246,7 @@ TEST(CpuDispatch, TransposeHandlesZeroPlanesAndHandMadeBits)
     const std::vector<std::uint64_t> mask = {~0ULL,
                                              ~(1ULL << 63)};
     sim::SyndromeBlock ref;
-    sim::extractSyndromeBlockScalar(batch, mask, ref);
+    testref::extractSyndromeBlockScalar(batch, mask, ref);
     // Spot-check the reference itself before locking others to it.
     EXPECT_EQ(ref.syndrome(0).size(), 1u);
     EXPECT_EQ(ref.syndrome(0)[0], 0u);

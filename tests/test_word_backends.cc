@@ -6,7 +6,7 @@
  * deterministic circuits, statistically on noisy ones, and the
  * default backend must stay bit-identical across thread counts.
  * Also covers extractSyndromeBlock against the scalar reference
- * extractSyndromeBlockScalar for non-64 widths and partial live
+ * (tests/scalar_extract.hh) for non-64 widths and partial live
  * masks, TRAQ_WORD_BACKEND resolution (including the loud-failure
  * contract on unknown and retired values), and the noise-fusion
  * path.
@@ -26,6 +26,7 @@
 #include "src/common/word.hh"
 #include "src/decoder/monte_carlo.hh"
 #include "src/sim/frame.hh"
+#include "tests/scalar_extract.hh"
 
 namespace traq::sim {
 namespace {
@@ -217,7 +218,7 @@ expectMatchesScalarReference(const FrameBatch &b,
                              const SyndromeBlock &blk)
 {
     SyndromeBlock ref;
-    extractSyndromeBlockScalar(b, live, ref);
+    testref::extractSyndromeBlockScalar(b, live, ref);
     EXPECT_EQ(blk.lanes, ref.lanes);
     EXPECT_EQ(blk.offsets, ref.offsets);
     EXPECT_EQ(blk.defects, ref.defects);
